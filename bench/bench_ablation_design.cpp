@@ -59,9 +59,9 @@ int main() {
 
   std::printf("B. coarse-space level:\n");
   report("two-level (paper)", bench::run_session(m, prob, cfg));
-  cfg.preconditioner = "ddm-gnn-1level";
+  cfg.mg_levels = 0;
   report("one-level", bench::run_session(m, prob, cfg));
-  cfg.preconditioner = "ddm-gnn";
+  cfg.mg_levels = 1;
 
   std::printf("C. Dirichlet-flag input channel (our deviation):\n");
   {

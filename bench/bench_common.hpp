@@ -19,7 +19,6 @@
 #include "common/options.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "core/hybrid_solver.hpp"
 #include "core/solver_session.hpp"
 #include "fem/poisson.hpp"
 #include "la/mm_io.hpp"
@@ -212,21 +211,22 @@ inline AnyProblem load_or_make_problem(int argc, char** argv,
   return out;
 }
 
-/// One-shot setup+solve for benches that genuinely solve each system once —
-/// exactly what the deprecated facade is for, so delegate to it (suppressing
-/// the deprecation warning at this one sanctioned call site). Benches that
-/// serve repeated right-hand sides (bench_setup_amortization) hold a
-/// SolverSession themselves instead.
-using RunReport = core::HybridReport;
+/// One-shot setup+solve (from a zero guess) for benches that genuinely solve
+/// each system once. Benches that serve repeated right-hand sides
+/// (bench_setup_amortization) hold a SolverSession themselves instead.
+struct RunReport {
+  solver::SolveResult result;
+  la::Index num_subdomains = 0;  // K (0 when no decomposition involved)
+};
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 inline RunReport run_session(const mesh::Mesh& m,
                              const fem::PoissonProblem& prob,
                              const core::HybridConfig& cfg) {
-  return core::solve_poisson(m, prob, cfg);
+  core::SolverSession session;
+  session.setup(m, prob, cfg);
+  std::vector<double> x(prob.b.size(), 0.0);
+  return {session.solve(prob.b, x), session.num_subdomains()};
 }
-#pragma GCC diagnostic pop
 
 /// Minimal JSON emission for bench artifacts: a flat object per record,
 /// records written as a JSON array. Values are numbers, booleans or strings.

@@ -18,6 +18,7 @@
 #include "la/ic0.hpp"
 #include "la/skyline_cholesky.hpp"
 #include "nn/mlp.hpp"
+#include "partition/coarse_space.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/asm_precond.hpp"
 
@@ -160,7 +161,8 @@ void BM_AsmLuApply(benchmark::State& state) {
   const auto dec =
       partition::decompose_target_size(p.m.adj_ptr(), p.m.adj(), 350, 2, 7);
   precond::AdditiveSchwarz ddm(
-      p.prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>());
+      p.prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>(),
+      std::make_unique<partition::NicolaidesCoarseSpace>(p.prob.A, dec));
   std::vector<double> r(p.prob.b.size(), 1.0), z(r.size());
   const auto ws = ddm.make_workspace();
   for (auto _ : state) {

@@ -22,6 +22,7 @@
 #include "gnn/dss_kernels.hpp"
 #include "gnn/dss_model.hpp"
 #include "la/vector_ops.hpp"
+#include "partition/coarse_space.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/asm_precond.hpp"
 
@@ -55,7 +56,9 @@ ApplyStats time_applies(const gnn::DssModel& model, const bench::Problem& p,
   core::GnnSubdomainSolver::Options opts;
   auto local = std::make_unique<core::GnnSubdomainSolver>(
       model, p.m, p.prob.dirichlet, opts);
-  precond::AdditiveSchwarz ddm(p.prob.A, dec, std::move(local));
+  precond::AdditiveSchwarz ddm(
+      p.prob.A, dec, std::move(local),
+      std::make_unique<partition::NicolaidesCoarseSpace>(p.prob.A, dec));
   std::vector<double> z(p.prob.b.size());
   // One caller-owned workspace for the whole timing run, exactly like a
   // Krylov solve holds one: applies are allocation-free after the warm-up.

@@ -2,7 +2,7 @@
 // §II-A/§V claim that the coarse correction makes the preconditioner
 // scalable, and extends it to the multi-level question): fix the subdomain
 // size Ns, grow the global problem (so K ∝ N), and sweep the coarse-
-// hierarchy depth mg_levels = 1..4 for both ddm-lu-ml and ddm-gnn-ml.
+// hierarchy depth mg_levels = 1..4 for both ddm-lu and ddm-gnn.
 //
 // mg_levels = 1 is the classic two-level method (one-shot dense Nicolaides
 // coarse solve, K×K factor); mg_levels >= 2 replaces it with the smoothed-
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
                 "levels", "iters", "setup_s", "solve_s", "coarse_bytes",
                 "factor_bytes", "level rows");
     int pi = 0;
-    for (const char* name : {"ddm-lu-ml", "ddm-gnn-ml"}) {
+    for (const char* name : {"ddm-lu", "ddm-gnn"}) {
       for (const int levels : level_sweep) {
         core::HybridConfig cfg;
         cfg.preconditioner = name;
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
   // converge within 1.2x the two-level iteration count while its dense
   // coarsest factor is far smaller than the K×K Nicolaides factor.
   bool ok = true;
-  const char* names[2] = {"ddm-lu-ml", "ddm-gnn-ml"};
+  const char* names[2] = {"ddm-lu", "ddm-gnn"};
   for (int i = 0; i < 2; ++i) {
     const bool iters_ok =
         three_level_iters[i] > 0 && baseline_iters[i] > 0 &&

@@ -8,6 +8,7 @@
 #include "gnn/graph.hpp"
 #include "la/vector_ops.hpp"
 #include "mesh/generator.hpp"
+#include "partition/coarse_space.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/asm_precond.hpp"
 #include "solver/krylov.hpp"
@@ -96,7 +97,8 @@ DssDataset generate_dataset(const DatasetConfig& cfg) {
     }
 
     precond::AdditiveSchwarz ddm_lu(
-        prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>());
+        prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>(),
+        std::make_unique<partition::NicolaidesCoarseSpace>(prob.A, dec));
     RecordingPreconditioner recorder(ddm_lu, dec, topologies, all,
                                      cfg.max_samples);
     std::vector<double> x(prob.b.size(), 0.0);

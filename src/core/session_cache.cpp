@@ -62,20 +62,15 @@ std::uint64_t fingerprint_of(const la::CsrMatrix& A, const HybridConfig& cfg,
   h = hash_pod(cfg.overlap, h);
   h = hash_pod(cfg.rel_tol, h);
   h = hash_pod(cfg.max_iterations, h);
-  h = hash_pod(cfg.gmres_restart, h);
   h = hash_pod(cfg.model, h);  // identity of the shared trained model
   h = hash_pod(cfg.gnn_refinement_steps, h);
   h = hash_pod(cfg.gnn_normalize, h);
   h = hash_pod(cfg.gnn_adaptive_refinement, h);
-  h = hash_pod(cfg.gnn_contraction_target, h);
-  h = hash_pod(cfg.gnn_max_refinement_steps, h);
-  h = hash_pod(cfg.gnn_cost_aware_fallback, h);
   h = hash_pod(cfg.precond_fp32, h);
   h = hash_pod(cfg.mg_levels, h);
   h = fnv1a(cfg.mg_cycle.data(), cfg.mg_cycle.size(), h);
   h = fnv1a(cfg.mg_smoother.data(), cfg.mg_smoother.size(), h);
   h = hash_pod(cfg.mg_smooth_steps, h);
-  h = hash_pod(cfg.mg_aggregate_target, h);
   h = hash_pod(cfg.seed, h);
   h = hash_pod(cfg.track_history, h);
   h = hash_pod(cfg.block_multi_rhs, h);
@@ -100,19 +95,14 @@ bool configs_equal(const HybridConfig& a, const HybridConfig& b) {
   return a.preconditioner == b.preconditioner && a.method == b.method &&
          a.subdomain_target_nodes == b.subdomain_target_nodes &&
          a.overlap == b.overlap && a.rel_tol == b.rel_tol &&
-         a.max_iterations == b.max_iterations &&
-         a.gmres_restart == b.gmres_restart && a.model == b.model &&
+         a.max_iterations == b.max_iterations && a.model == b.model &&
          a.gnn_refinement_steps == b.gnn_refinement_steps &&
          a.gnn_normalize == b.gnn_normalize &&
          a.gnn_adaptive_refinement == b.gnn_adaptive_refinement &&
-         a.gnn_contraction_target == b.gnn_contraction_target &&
-         a.gnn_max_refinement_steps == b.gnn_max_refinement_steps &&
-         a.gnn_cost_aware_fallback == b.gnn_cost_aware_fallback &&
          a.precond_fp32 == b.precond_fp32 && a.mg_levels == b.mg_levels &&
          a.mg_cycle == b.mg_cycle && a.mg_smoother == b.mg_smoother &&
-         a.mg_smooth_steps == b.mg_smooth_steps &&
-         a.mg_aggregate_target == b.mg_aggregate_target &&
-         a.seed == b.seed && a.track_history == b.track_history &&
+         a.mg_smooth_steps == b.mg_smooth_steps && a.seed == b.seed &&
+         a.track_history == b.track_history &&
          a.block_multi_rhs == b.block_multi_rhs;
 }
 

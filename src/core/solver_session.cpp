@@ -76,15 +76,11 @@ void SolverSession::setup_from_graph(const la::CsrMatrix& A,
   ctx.gnn_refinement_steps = cfg.gnn_refinement_steps;
   ctx.gnn_normalize = cfg.gnn_normalize;
   ctx.gnn_adaptive_refinement = cfg.gnn_adaptive_refinement;
-  ctx.gnn_contraction_target = cfg.gnn_contraction_target;
-  ctx.gnn_max_refinement_steps = cfg.gnn_max_refinement_steps;
-  ctx.gnn_cost_aware_fallback = cfg.gnn_cost_aware_fallback;
   ctx.gnn_fp32_fallback = cfg.precond_fp32;
   ctx.mg_levels = cfg.mg_levels;
   ctx.mg_cycle = cfg.mg_cycle;
   ctx.mg_smoother = cfg.mg_smoother;
   ctx.mg_smooth_steps = cfg.mg_smooth_steps;
-  ctx.mg_aggregate_target = cfg.mg_aggregate_target;
   ctx.seed = cfg.seed;
   // The message-graph pattern is only materialized for geometry consumers
   // (the GNN entries); the factories copy it, so it can live on this stack.
@@ -189,7 +185,6 @@ solver::SolveResult SolverSession::solve(std::span<const double> b,
   opts.rel_tol = cfg_.rel_tol;
   opts.max_iterations = cfg_.max_iterations;
   opts.track_history = cfg_.track_history;
-  opts.gmres_restart = cfg_.gmres_restart;
   opts.precond_fp32 = cfg_.precond_fp32;
   opts.x0 = x0;
   solver::SolveResult res =
@@ -233,7 +228,6 @@ std::vector<solver::SolveResult> SolverSession::solve_many(
     opts.rel_tol = cfg_.rel_tol;
     opts.max_iterations = cfg_.max_iterations;
     opts.track_history = cfg_.track_history;
-    opts.gmres_restart = cfg_.gmres_restart;
     opts.precond_fp32 = cfg_.precond_fp32;
     const la::MultiVector b = la::MultiVector::from_columns(rhs);
     la::MultiVector x(b.rows(), b.cols(), 0.0);
@@ -297,7 +291,7 @@ std::size_t SolverSession::memory_bytes() const {
           dynamic_cast<const precond::AdditiveSchwarz*>(m_inv_.get())) {
     // Coarse-correction state: the dense Nicolaides factor, or the whole
     // smoothed-aggregation hierarchy (level operators + transfers + the far
-    // smaller coarsest factor) for the -ml entries.
+    // smaller coarsest factor) at mg_levels >= 2.
     if (const auto* coarse = schwarz->coarse_component()) {
       bytes += coarse->memory_bytes();
     }

@@ -24,9 +24,7 @@
 //
 // The preconditioner is chosen by name through the string-keyed registry
 // (src/precond/registry.hpp) and the Krylov method by the KrylovMethod
-// selector, so both are configuration data rather than call-site code. The
-// old one-shot `solve_poisson` facade survives as a thin deprecated wrapper
-// in core/hybrid_solver.hpp.
+// selector, so both are configuration data rather than call-site code.
 #pragma once
 
 #include <memory>
@@ -45,10 +43,11 @@
 namespace ddmgnn::core {
 
 /// Configuration of one session: preconditioner by registry name, Krylov
-/// method by selector, plus decomposition and GNN knobs.
+/// method by selector, plus decomposition, GNN and coarse-correction knobs.
 struct HybridConfig {
-  /// Registry name: "none", "jacobi", "ic0", "ddm-lu", "ddm-gnn",
-  /// "ddm-lu-1level", "ddm-gnn-1level" (see precond::preconditioner_names()).
+  /// Registry name: "none", "jacobi", "ic0", "ddm-lu", "ddm-gnn" (see
+  /// precond::preconditioner_names()). The coarse correction of the two
+  /// Schwarz entries is picked by mg_levels, not by the name.
   std::string preconditioner = "ddm-gnn";
   /// Krylov method. When unset, picked from the preconditioner's traits:
   /// "none" runs plain CG, symmetric preconditioners run PCG (Algorithm 1),
@@ -58,7 +57,6 @@ struct HybridConfig {
   int overlap = 2;
   double rel_tol = 1e-6;
   int max_iterations = 2000;
-  int gmres_restart = 50;
   /// Required for the GNN preconditioners.
   const gnn::DssModel* model = nullptr;
   /// Extra DSS refinement passes per local solve (see GnnSubdomainSolver).
@@ -70,29 +68,23 @@ struct HybridConfig {
   /// the local residual, and fall back to an exact Cholesky local solve for
   /// subdomains the model cannot contract. This is the served-configuration
   /// convergence fix — off by default so existing configs are bit-for-bit
-  /// unchanged; gnn_refinement_steps acts as the per-subdomain floor.
+  /// unchanged; gnn_refinement_steps acts as the per-subdomain floor. The
+  /// contraction target, refinement cap and cost-aware fallback keep their
+  /// GnnSubdomainSolver::Options defaults.
   bool gnn_adaptive_refinement = false;
-  double gnn_contraction_target = 0.25;
-  int gnn_max_refinement_steps = 3;
-  /// Adaptive mode also serves a subdomain with the exact factor when the
-  /// (deterministic) flop model predicts the refined GNN apply to cost
-  /// overwhelmingly more than the envelope sweeps — on CPU at small Ns the
-  /// exact sweep is both cheaper and a better local solve. Disable to force
-  /// the GNN apply on every contractive subdomain (ablations).
-  bool gnn_cost_aware_fallback = true;
   /// Run preconditioner applications through fp32 (round the residual in,
   /// the correction out; Cholesky fallbacks sweep an fp32 factor copy). The
   /// outer Krylov recurrences stay fp64. Makes the preconditioner
   /// effectively nonlinear, so the default-method selection bumps PCG to
   /// flexible PCG when enabled.
   bool precond_fp32 = false;
-  /// Multi-level coarse hierarchy (the `-ml` registry entries): coarse-
-  /// hierarchy depth L. The default 1 keeps the classic one-shot dense
-  /// Nicolaides coarse solve — existing configs are bit-for-bit unchanged.
-  /// L >= 2 builds a smoothed-aggregation hierarchy (aggregation coarsening
-  /// + Galerkin operators) and applies it as a recursive cycle: an
-  /// (L+1)-level method counting the fine grid. Plain (non `-ml`) entries
-  /// ignore these knobs entirely.
+  /// Coarse correction of the Schwarz entries (ddm-lu, ddm-gnn): depth L.
+  /// 0 drops it (one-level, Eq. 6); the default 1 is the one-shot dense
+  /// Nicolaides solve (two-level, Eq. 7); L >= 2 builds a smoothed-
+  /// aggregation hierarchy (aggregation coarsening + Galerkin operators)
+  /// and applies it as a recursive cycle: an (L+1)-level method counting
+  /// the fine grid. Negative depths make setup throw ContractError. The
+  /// cycle knobs below only apply at L >= 2.
   int mg_levels = 1;
   /// "v" or "w": cycle shape on the coarse hierarchy.
   std::string mg_cycle = "v";
@@ -103,8 +95,6 @@ struct HybridConfig {
   std::string mg_smoother = "jacobi";
   /// Pre- and post-smoothing sweeps (Jacobi) / polynomial degree (Chebyshev).
   int mg_smooth_steps = 1;
-  /// Pass-1 aggregate size cap for the greedy aggregation on deep levels.
-  la::Index mg_aggregate_target = 8;
   std::uint64_t seed = 0;
   bool track_history = true;
   /// solve_many: dispatch to the batched block-Krylov engine (one fused

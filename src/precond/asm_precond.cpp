@@ -100,8 +100,11 @@ struct AdditiveSchwarz::Scratch final : ApplyWorkspace {
   std::unique_ptr<SubdomainSolver::Workspace> local;
 };
 
-void AdditiveSchwarz::setup_local(const la::CsrMatrix& a,
-                                  const partition::Decomposition& dec) {
+AdditiveSchwarz::AdditiveSchwarz(
+    const la::CsrMatrix& a, const partition::Decomposition& dec,
+    std::unique_ptr<SubdomainSolver> local_solver,
+    std::unique_ptr<partition::CoarseComponent> coarse)
+    : dec_(&dec), solver_(std::move(local_solver)), coarse_(std::move(coarse)) {
   DDMGNN_CHECK(a.rows() == dec.num_nodes(), "ASM: size mismatch");
   DDMGNN_CHECK(solver_ != nullptr, "ASM: null subdomain solver");
   const Index k = dec.num_parts;
@@ -123,33 +126,6 @@ void AdditiveSchwarz::setup_local(const la::CsrMatrix& a,
     obs::PhaseTimer t("setup.local_solver", &g);
     solver_->setup(std::move(blocks), dec);
   }
-}
-
-AdditiveSchwarz::AdditiveSchwarz(const la::CsrMatrix& a,
-                                 const partition::Decomposition& dec,
-                                 std::unique_ptr<SubdomainSolver> local_solver,
-                                 Config config)
-    : dec_(&dec), solver_(std::move(local_solver)) {
-  setup_local(a, dec);
-  if (config.two_level) {
-    static obs::Gauge& g =
-        obs::Registry::instance().gauge("setup.coarse_space_seconds");
-    obs::PhaseTimer t("setup.coarse_space", &g);
-    coarse_ = std::make_unique<partition::NicolaidesCoarseSpace>(a, dec);
-  } else {
-    name_suffix_ = "-1level";
-  }
-}
-
-AdditiveSchwarz::AdditiveSchwarz(
-    const la::CsrMatrix& a, const partition::Decomposition& dec,
-    std::unique_ptr<SubdomainSolver> local_solver,
-    std::unique_ptr<partition::CoarseComponent> coarse,
-    std::string name_suffix)
-    : dec_(&dec), solver_(std::move(local_solver)),
-      name_suffix_(coarse == nullptr ? "-1level" : std::move(name_suffix)) {
-  setup_local(a, dec);
-  coarse_ = std::move(coarse);
 }
 
 std::unique_ptr<ApplyWorkspace> AdditiveSchwarz::make_workspace() const {
@@ -257,7 +233,7 @@ void AdditiveSchwarz::apply_many(const la::MultiVector& r,
 }
 
 std::string AdditiveSchwarz::name() const {
-  return std::string("ddm-") + solver_->name() + name_suffix_;
+  return std::string("ddm-") + solver_->name();
 }
 
 }  // namespace ddmgnn::precond

@@ -3,6 +3,10 @@
 //   one-level:  M⁻¹ = Σ_i R_iᵀ (R_i A R_iᵀ)⁻¹ R_i                     (Eq. 6)
 //   two-level:  M⁻¹ = R0ᵀ(R0 A R0ᵀ)⁻¹R0 + Σ_i R_iᵀ(R_i A R_iᵀ)⁻¹R_i   (Eq. 7)
 //
+// The first term is a pluggable CoarseComponent, so the same class also
+// serves the multi-level method (an mg::VCycle in place of the one-shot
+// Nicolaides solve).
+//
 // With a CholeskySubdomainSolver this is the paper's DDM-LU; with the GNN
 // subdomain solver from src/core it is DDM-GNN (which additionally applies
 // the residual-normalization of §III-A inside the solver). Local solves run
@@ -18,7 +22,6 @@
 
 #include "la/csr.hpp"
 #include "partition/coarse_component.hpp"
-#include "partition/coarse_space.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/preconditioner.hpp"
 #include "precond/subdomain_solver.hpp"
@@ -27,28 +30,14 @@ namespace ddmgnn::precond {
 
 class AdditiveSchwarz final : public Preconditioner {
  public:
-  struct Config {
-    bool two_level = true;  // add the Nicolaides coarse correction
-  };
-
   /// `dec` must outlive the preconditioner. Extracts all R_i A R_iᵀ blocks
-  /// and hands them to `local_solver` for setup.
+  /// and hands them to `local_solver` for setup. `coarse` is the coarse
+  /// correction: nullptr for the one-level method (Eq. 6), a
+  /// NicolaidesCoarseSpace for the two-level one (Eq. 7), an mg::VCycle for
+  /// the multi-level one.
   AdditiveSchwarz(const la::CsrMatrix& a, const partition::Decomposition& dec,
                   std::unique_ptr<SubdomainSolver> local_solver,
-                  Config config);
-  /// Two-level by default.
-  AdditiveSchwarz(const la::CsrMatrix& a, const partition::Decomposition& dec,
-                  std::unique_ptr<SubdomainSolver> local_solver)
-      : AdditiveSchwarz(a, dec, std::move(local_solver), Config{}) {}
-  /// Generalized form: plug in any CoarseComponent (an mg::VCycle for the
-  /// L-level method, a NicolaidesCoarseSpace for the classic two-level one,
-  /// nullptr for one-level). `name_suffix` is appended to "ddm-<solver>" so
-  /// registry entries keep name() == registry name (e.g. "-ml"); ignored
-  /// (forced to "-1level") when coarse is null.
-  AdditiveSchwarz(const la::CsrMatrix& a, const partition::Decomposition& dec,
-                  std::unique_ptr<SubdomainSolver> local_solver,
-                  std::unique_ptr<partition::CoarseComponent> coarse,
-                  std::string name_suffix = "");
+                  std::unique_ptr<partition::CoarseComponent> coarse);
 
   using Preconditioner::apply;
   using Preconditioner::apply_many;
@@ -75,7 +64,6 @@ class AdditiveSchwarz final : public Preconditioner {
   }
 
   const SubdomainSolver& local_solver() const { return *solver_; }
-  bool two_level() const { return coarse_ != nullptr; }
   /// The coarse correction in use (nullptr for the one-level method).
   const partition::CoarseComponent* coarse_component() const {
     return coarse_.get();
@@ -84,12 +72,10 @@ class AdditiveSchwarz final : public Preconditioner {
  private:
   struct Scratch;
   Scratch& scratch_of(ApplyWorkspace* ws) const;
-  void setup_local(const la::CsrMatrix& a, const partition::Decomposition& dec);
 
   const partition::Decomposition* dec_;
   std::unique_ptr<SubdomainSolver> solver_;
   std::unique_ptr<partition::CoarseComponent> coarse_;
-  std::string name_suffix_;
 };
 
 }  // namespace ddmgnn::precond

@@ -13,6 +13,7 @@
 #include "mg/vcycle.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "partition/coarse_space.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/asm_precond.hpp"
 #include "precond/ic0_precond.hpp"
@@ -54,9 +55,6 @@ std::unique_ptr<SubdomainSolver> make_gnn_local(const PrecondContext& ctx,
   opts.refinement_steps = ctx.gnn_refinement_steps;
   opts.normalize_input = ctx.gnn_normalize;
   opts.adaptive_refinement = ctx.gnn_adaptive_refinement;
-  opts.contraction_target = ctx.gnn_contraction_target;
-  opts.max_refinement_steps = ctx.gnn_max_refinement_steps;
-  opts.cost_aware_fallback = ctx.gnn_cost_aware_fallback;
   opts.fp32_fallback = ctx.gnn_fp32_fallback;
   return std::make_unique<core::GnnSubdomainSolver>(
       *ctx.model,
@@ -64,33 +62,21 @@ std::unique_ptr<SubdomainSolver> make_gnn_local(const PrecondContext& ctx,
       std::move(dirichlet), *ctx.edge_pattern, opts);
 }
 
-std::unique_ptr<Preconditioner> make_schwarz(
-    const PrecondContext& ctx, std::string_view name, bool two_level,
-    std::unique_ptr<SubdomainSolver> local) {
-  return std::make_unique<AdditiveSchwarz>(
-      require_matrix(ctx), require_decomposition(ctx, name), std::move(local),
-      AdditiveSchwarz::Config{two_level});
-}
-
-// The `-ml` entries: with mg_levels == 1 this is exactly the plain two-level
-// entry (same NicolaidesCoarseSpace construction — bitwise-identical solves);
-// with mg_levels >= 2 the coarse solve becomes a smoothed-aggregation
-// V/W-cycle built under the setup.hierarchy phase.
-std::unique_ptr<Preconditioner> make_schwarz_ml(
-    const PrecondContext& ctx, std::string_view name,
-    std::unique_ptr<SubdomainSolver> local) {
-  const la::CsrMatrix& A = require_matrix(ctx);
-  const partition::Decomposition& dec = require_decomposition(ctx, name);
-  if (ctx.mg_levels <= 1) {
-    std::unique_ptr<partition::CoarseComponent> nico;
-    {
-      static obs::Gauge& g =
-          obs::Registry::instance().gauge("setup.coarse_space_seconds");
-      obs::PhaseTimer t("setup.coarse_space", &g);
-      nico = std::make_unique<partition::NicolaidesCoarseSpace>(A, dec);
-    }
-    return std::make_unique<AdditiveSchwarz>(A, dec, std::move(local),
-                                             std::move(nico), "-ml");
+// The coarse correction ctx.mg_levels selects: none at depth 0, the dense
+// Nicolaides solve at depth 1, a smoothed-aggregation V/W-cycle built under
+// the setup.hierarchy phase at depth >= 2.
+std::unique_ptr<partition::CoarseComponent> make_coarse(
+    const la::CsrMatrix& A, const partition::Decomposition& dec,
+    const PrecondContext& ctx, std::string_view name) {
+  DDMGNN_CHECK(ctx.mg_levels >= 0,
+               std::string(name) + ": mg_levels must be >= 0, got " +
+                   std::to_string(ctx.mg_levels));
+  if (ctx.mg_levels == 0) return nullptr;
+  if (ctx.mg_levels == 1) {
+    static obs::Gauge& g =
+        obs::Registry::instance().gauge("setup.coarse_space_seconds");
+    obs::PhaseTimer t("setup.coarse_space", &g);
+    return std::make_unique<partition::NicolaidesCoarseSpace>(A, dec);
   }
   DDMGNN_CHECK(ctx.mg_cycle == "v" || ctx.mg_cycle == "w",
                std::string(name) + ": mg_cycle must be 'v' or 'w', got '" +
@@ -101,24 +87,28 @@ std::unique_ptr<Preconditioner> make_schwarz_ml(
                    ctx.mg_smoother + "'");
   DDMGNN_CHECK(ctx.mg_smooth_steps >= 1,
                std::string(name) + ": mg_smooth_steps must be >= 1");
-  std::unique_ptr<mg::VCycle> cycle;
-  {
-    static obs::Gauge& g =
-        obs::Registry::instance().gauge("setup.hierarchy_seconds");
-    obs::PhaseTimer t("setup.hierarchy", &g);
-    mg::HierarchyOptions opts;
-    opts.levels = ctx.mg_levels;
-    opts.aggregate_target = ctx.mg_aggregate_target;
-    opts.seed = ctx.seed;
-    mg::CycleConfig cc;
-    cc.w_cycle = ctx.mg_cycle == "w";
-    cc.smoother = ctx.mg_smoother == "chebyshev" ? mg::Smoother::kChebyshev
-                                                 : mg::Smoother::kJacobi;
-    cc.smooth_steps = ctx.mg_smooth_steps;
-    cycle = std::make_unique<mg::VCycle>(mg::build_hierarchy(A, dec, opts), cc);
-  }
+  static obs::Gauge& g =
+      obs::Registry::instance().gauge("setup.hierarchy_seconds");
+  obs::PhaseTimer t("setup.hierarchy", &g);
+  mg::HierarchyOptions opts;
+  opts.levels = ctx.mg_levels;
+  opts.seed = ctx.seed;
+  mg::CycleConfig cc;
+  cc.w_cycle = ctx.mg_cycle == "w";
+  cc.smoother = ctx.mg_smoother == "chebyshev" ? mg::Smoother::kChebyshev
+                                               : mg::Smoother::kJacobi;
+  cc.smooth_steps = ctx.mg_smooth_steps;
+  return std::make_unique<mg::VCycle>(mg::build_hierarchy(A, dec, opts), cc);
+}
+
+std::unique_ptr<Preconditioner> make_schwarz(
+    const PrecondContext& ctx, std::string_view name,
+    std::unique_ptr<SubdomainSolver> local) {
+  const la::CsrMatrix& A = require_matrix(ctx);
+  const partition::Decomposition& dec = require_decomposition(ctx, name);
+  auto coarse = make_coarse(A, dec, ctx, name);
   return std::make_unique<AdditiveSchwarz>(A, dec, std::move(local),
-                                           std::move(cycle), "-ml");
+                                           std::move(coarse));
 }
 
 }  // namespace
@@ -137,12 +127,7 @@ PrecondRegistry::PrecondRegistry() {
   });
   add("ddm-lu", PrecondTraits{.needs_decomposition = true},
       [](const PrecondContext& ctx) {
-        return make_schwarz(ctx, "ddm-lu", /*two_level=*/true,
-                            std::make_unique<CholeskySubdomainSolver>());
-      });
-  add("ddm-lu-1level", PrecondTraits{.needs_decomposition = true},
-      [](const PrecondContext& ctx) {
-        return make_schwarz(ctx, "ddm-lu-1level", /*two_level=*/false,
+        return make_schwarz(ctx, "ddm-lu",
                             std::make_unique<CholeskySubdomainSolver>());
       });
   add("ddm-gnn",
@@ -151,35 +136,8 @@ PrecondRegistry::PrecondRegistry() {
                     .symmetric = false,
                     .needs_geometry = true},
       [](const PrecondContext& ctx) {
-        return make_schwarz(ctx, "ddm-gnn", /*two_level=*/true,
-                            make_gnn_local(ctx, "ddm-gnn"));
+        return make_schwarz(ctx, "ddm-gnn", make_gnn_local(ctx, "ddm-gnn"));
       });
-  add("ddm-gnn-1level",
-      PrecondTraits{.needs_decomposition = true,
-                    .needs_model = true,
-                    .symmetric = false,
-                    .needs_geometry = true},
-      [](const PrecondContext& ctx) {
-        return make_schwarz(ctx, "ddm-gnn-1level", /*two_level=*/false,
-                            make_gnn_local(ctx, "ddm-gnn-1level"));
-      });
-  add("ddm-lu-ml", PrecondTraits{.needs_decomposition = true},
-      [](const PrecondContext& ctx) {
-        return make_schwarz_ml(ctx, "ddm-lu-ml",
-                               std::make_unique<CholeskySubdomainSolver>());
-      });
-  add("ddm-gnn-ml",
-      PrecondTraits{.needs_decomposition = true,
-                    .needs_model = true,
-                    .symmetric = false,
-                    .needs_geometry = true},
-      [](const PrecondContext& ctx) {
-        return make_schwarz_ml(ctx, "ddm-gnn-ml",
-                               make_gnn_local(ctx, "ddm-gnn-ml"));
-      });
-  // Short spellings kept from the legacy solve_poisson tool flags.
-  add_alias("ddm-lu-1", "ddm-lu-1level");
-  add_alias("ddm-gnn-1", "ddm-gnn-1level");
   add_alias("identity", "none");
 }
 

@@ -1,11 +1,16 @@
 // String-keyed preconditioner registry: maps names ("none", "jacobi", "ic0",
-// "ddm-lu", "ddm-gnn", one-level variants) to factories returning
+// "ddm-lu", "ddm-gnn") to factories returning
 // `std::unique_ptr<Preconditioner>`, so the choice of preconditioner is data
 // (a config string) instead of call-site enum-switch code. The registry also
 // carries per-entry traits — whether a factory needs a domain decomposition
 // or a trained DSS model, and whether the resulting operator is symmetric —
 // which is what SolverSession uses to decide how much setup to build and
 // which Krylov method is safe by default.
+//
+// The two Schwarz entries differ only in their local solver. Their coarse
+// correction is chosen by PrecondContext::mg_levels alone: 0 = none
+// (one-level, Eq. 6), 1 = Nicolaides (two-level, Eq. 7), >= 2 = a
+// smoothed-aggregation V/W-cycle.
 //
 // Built-in names are registered on first use; callers may add their own
 // factories (e.g. a multigrid or a new learned preconditioner) under fresh
@@ -65,23 +70,18 @@ struct PrecondContext {
   /// Refine-until-contractive setup with exact-Cholesky fallback for
   /// non-contractive subdomains (the served-configuration convergence fix).
   bool gnn_adaptive_refinement = false;
-  double gnn_contraction_target = 0.25;
-  int gnn_max_refinement_steps = 3;
-  /// With adaptive refinement, also fall back per subdomain when the flop
-  /// model predicts the GNN apply overwhelmingly costlier than exact sweeps.
-  bool gnn_cost_aware_fallback = true;
   /// fp32 sweeps for the Cholesky fallbacks (mixed-precision apply; pair
   /// with SolveOptions::precond_fp32 on the outer Krylov).
   bool gnn_fp32_fallback = false;
-  /// Multi-level coarse hierarchy knobs (the `-ml` entries). mg_levels is
-  /// the coarse-hierarchy depth: 1 keeps the classic dense Nicolaides solve
-  /// (bitwise-identical to the plain entries), L >= 2 builds a smoothed-
-  /// aggregation hierarchy and applies it as a V/W-cycle.
+  /// Coarse correction of the Schwarz entries: 0 = none (one-level), 1 =
+  /// the dense Nicolaides solve (two-level, the default), L >= 2 = a
+  /// smoothed-aggregation hierarchy of depth L applied as a V/W-cycle.
+  /// Negative values are rejected. The cycle knobs below only apply at
+  /// L >= 2.
   int mg_levels = 1;
   std::string mg_cycle = "v";        // "v" | "w"
   std::string mg_smoother = "jacobi";  // "jacobi" | "chebyshev"
   int mg_smooth_steps = 1;
-  la::Index mg_aggregate_target = 8;
   /// Seed for the hierarchy's power-iteration damping estimates.
   std::uint64_t seed = 0;
 };

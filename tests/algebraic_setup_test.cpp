@@ -1,5 +1,6 @@
 // Equivalence suite for the matrix-first setup path: for every registry
-// entry that supports the algebraic path, setup(mesh, prob, cfg) and
+// configuration (each Schwarz entry at mg_levels 0, 1 and 2) that supports
+// the algebraic path, setup(mesh, prob, cfg) and
 // setup(prob.A, cfg, ...) must produce *identical* iteration counts and
 // matching solutions (tol 1e-12) on the same Poisson operator.
 //
@@ -27,6 +28,7 @@
 #include "mesh/generator.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/registry.hpp"
+#include "precond_configs.hpp"
 
 namespace {
 
@@ -129,12 +131,13 @@ TEST(AlgebraicSetup, EveryAlgebraicCapableEntryMatchesMeshSetup) {
   auto [m, prob] = make_problem(/*keep_pattern=*/true);
   const gnn::DssModel model = tiny_model();
   int covered = 0;
-  for (const std::string& name : precond::preconditioner_names()) {
-    const auto& traits = precond::preconditioner_traits(name);
+  for (const test::PrecondConfig& c : test::precond_configs()) {
+    const auto& traits = precond::preconditioner_traits(c.name);
     if (!traits.supports_algebraic) continue;
     ++covered;
-    const core::HybridConfig cfg =
-        base_config(name, traits.needs_model ? &model : nullptr);
+    core::HybridConfig cfg =
+        base_config(c.name, traits.needs_model ? &model : nullptr);
+    cfg.mg_levels = c.mg_levels;
 
     core::SolverSession mesh_session;
     mesh_session.setup(m, prob, cfg);
@@ -148,12 +151,13 @@ TEST(AlgebraicSetup, EveryAlgebraicCapableEntryMatchesMeshSetup) {
     core::SolverSession alg_session;
     alg_session.setup(prob.A, cfg, opts);
 
-    expect_equal_solves(mesh_session, alg_session, prob, name);
+    expect_equal_solves(mesh_session, alg_session, prob, c.label());
   }
-  // All 7 built-ins support the algebraic path (>= keeps this robust to the
-  // mesh-bound entry another TEST in this binary registers — the registry is
-  // a process-wide singleton, so test order must not matter).
-  EXPECT_GE(covered, 7);
+  // All 9 built-in configurations support the algebraic path (>= keeps this
+  // robust to the mesh-bound entry another TEST in this binary registers —
+  // the registry is a process-wide singleton, so test order must not
+  // matter).
+  EXPECT_GE(covered, 9);
 }
 
 // Graph-free entries must agree even on the standard assembly that drops

@@ -1,8 +1,8 @@
 // Tests of the batched multi-RHS solve engine: MultiVector kernels and the
 // fused SpMM, Preconditioner::apply_many column-equivalence for every
-// registry entry, block-PCG lockstep equivalence to per-RHS sequential PCG
-// (including deflation on mixed-difficulty right-hand sides), the
-// shared-subspace block flexible PCG, and the Richardson damping fix.
+// registry configuration, block-PCG lockstep equivalence to per-RHS
+// sequential PCG (including deflation on mixed-difficulty right-hand sides),
+// the shared-subspace block flexible PCG, and the Richardson damping fix.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,6 +19,7 @@
 #include "mesh/generator.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/registry.hpp"
+#include "precond_configs.hpp"
 #include "solver/block_krylov.hpp"
 #include "solver/stationary.hpp"
 
@@ -133,16 +134,17 @@ TEST(ApplyMany, EqualsLoopedApplyForEveryRegistryEntry) {
 
   const la::CsrMatrix mesh_pattern =
       gnn::adjacency_pattern(m.adj_ptr(), m.adj());
-  for (const std::string& name : precond::preconditioner_names()) {
-    const auto& traits = precond::preconditioner_traits(name);
+  for (const test::PrecondConfig& c : test::precond_configs()) {
+    const auto& traits = precond::preconditioner_traits(c.name);
     precond::PrecondContext ctx;
     ctx.A = &prob.A;
     ctx.coords = m.points();
     ctx.edge_pattern = &mesh_pattern;
     ctx.dirichlet = prob.dirichlet;
+    ctx.mg_levels = c.mg_levels;
     if (traits.needs_decomposition) ctx.dec = &dec;
     if (traits.needs_model) ctx.model = &model;
-    const auto p = precond::make_preconditioner(name, ctx);
+    const auto p = precond::make_preconditioner(c.name, ctx);
 
     MultiVector z_block(n, s);
     p->apply_many(r, z_block);
@@ -154,7 +156,7 @@ TEST(ApplyMany, EqualsLoopedApplyForEveryRegistryEntry) {
       for (Index i = 0; i < n; ++i) scale = std::max(scale, std::abs(z_ref[i]));
       for (Index i = 0; i < n; ++i) {
         EXPECT_NEAR(zj[i], z_ref[i], 1e-14 * (1.0 + scale))
-            << name << " col " << j << " row " << i;
+            << c.label() << " col " << j << " row " << i;
       }
     }
   }

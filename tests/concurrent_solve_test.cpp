@@ -33,6 +33,7 @@
 #include "mesh/generator.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/registry.hpp"
+#include "precond_configs.hpp"
 
 namespace {
 
@@ -97,7 +98,7 @@ void run_threads(int count, const std::function<void(int)>& body) {
 // ---------------------------------------------------------------------------
 
 // N threads × one shared session, each with its own right-hand side, must
-// reproduce the serial solves bit for bit — for every registry entry.
+// reproduce the serial solves bit for bit — for every registry configuration.
 TEST(ConcurrentSolve, SharedSessionMatchesSerialBitwiseForEveryEntry) {
   auto [m, prob] = small_problem(42, 700);
   const gnn::DssModel model = tiny_model();
@@ -107,15 +108,16 @@ TEST(ConcurrentSolve, SharedSessionMatchesSerialBitwiseForEveryEntry) {
   std::vector<std::vector<double>> rhs(kThreads);
   for (int t = 0; t < kThreads; ++t) rhs[t] = random_vector(n, 100 + t);
 
-  for (const std::string& name : precond::preconditioner_names()) {
+  for (const test::PrecondConfig& c : test::precond_configs()) {
     core::HybridConfig cfg;
-    cfg.preconditioner = name;
+    cfg.preconditioner = c.name;
+    cfg.mg_levels = c.mg_levels;
     cfg.subdomain_target_nodes = 250;
     cfg.track_history = false;
     // The untrained GNN converges slowly; the equality contract is what is
     // under test, so bound the work per solve.
     cfg.max_iterations = 150;
-    if (precond::preconditioner_traits(name).needs_model) cfg.model = &model;
+    if (precond::preconditioner_traits(c.name).needs_model) cfg.model = &model;
 
     core::SolverSession session;
     session.setup(m, prob, cfg);
@@ -138,13 +140,13 @@ TEST(ConcurrentSolve, SharedSessionMatchesSerialBitwiseForEveryEntry) {
 
     for (int t = 0; t < kThreads; ++t) {
       EXPECT_EQ(r_conc[t].iterations, r_serial[t].iterations)
-          << name << " thread " << t;
+          << c.label() << " thread " << t;
       EXPECT_EQ(r_conc[t].final_relative_residual,
                 r_serial[t].final_relative_residual)
-          << name << " thread " << t;
+          << c.label() << " thread " << t;
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(x_conc[t][i], x_serial[t][i])
-            << name << " thread " << t << " component " << i;
+            << c.label() << " thread " << t << " component " << i;
       }
     }
   }

@@ -6,6 +6,7 @@
 
 #include "fem/poisson.hpp"
 #include "mesh/generator.hpp"
+#include "partition/coarse_space.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/asm_precond.hpp"
 #include "solver/krylov.hpp"
@@ -36,7 +37,8 @@ TEST_P(Envelope, DdmLuStaysWithinIterationEnvelope) {
   const auto dec = partition::decompose_target_size(
       m.adj_ptr(), m.adj(), c.sub_nodes, 2, c.seed);
   precond::AdditiveSchwarz ddm(
-      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>());
+      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>(),
+      std::make_unique<partition::NicolaidesCoarseSpace>(prob.A, dec));
   std::vector<double> x(prob.b.size(), 0.0);
   const auto res =
       solver::pcg(prob.A, ddm, prob.b, x, {.max_iterations = 500});

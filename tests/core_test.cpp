@@ -1,6 +1,6 @@
 // Integration tests of the paper's contribution: dataset harvesting, the
 // DDM-GNN preconditioner (normalization, scale-equivariance, refinement),
-// the hybrid-solver facade across all preconditioner kinds, and end-to-end
+// session solves across every preconditioner configuration, and end-to-end
 // PCG convergence with a freshly trained micro-model.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "core/dataset.hpp"
 #include "core/gnn_subdomain_solver.hpp"
-#include "core/hybrid_solver.hpp"
 #include "core/model_zoo.hpp"
 #include "core/solver_session.hpp"
 #include "fem/poisson.hpp"
@@ -24,6 +23,7 @@
 #include "partition/decomposition.hpp"
 #include "precond/asm_precond.hpp"
 #include "precond/registry.hpp"
+#include "precond_configs.hpp"
 #include "solver/krylov.hpp"
 
 namespace {
@@ -298,28 +298,30 @@ TEST(DdmGnn, ZeroResidualYieldsZeroCorrection) {
   }
 }
 
-// The deprecated one-shot facade must keep working as a wrapper over
-// SolverSession — this test exercises it across every registered name.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// One fresh session per configuration (every registered name, each Schwarz
+// entry at mg_levels 0, 1 and 2) solves the same problem to the direct
+// solution.
 TEST(HybridFacade, AllPreconditionersSolveTheSameProblem) {
   const auto& env = TrainedModelEnv::instance();
   auto [m, prob] = fresh_problem(1007, 1500);
   la::SkylineCholesky direct(prob.A);
   const auto x_ref = direct.solve(prob.b);
-  for (const std::string& name : precond::preconditioner_names()) {
+  for (const test::PrecondConfig& c : test::precond_configs()) {
     core::HybridConfig cfg;
-    cfg.preconditioner = name;
+    cfg.preconditioner = c.name;
+    cfg.mg_levels = c.mg_levels;
     cfg.model = &env.model();
     cfg.subdomain_target_nodes = 300;
     cfg.rel_tol = 1e-8;
     cfg.max_iterations = 2000;
-    const auto rep = core::solve_poisson(m, prob, cfg);
-    EXPECT_TRUE(rep.result.converged) << name;
-    EXPECT_LT(la::dist2(rep.solution, x_ref) / la::norm2(x_ref), 1e-5) << name;
+    core::SolverSession session;
+    session.setup(m, prob, cfg);
+    std::vector<double> x(prob.b.size(), 0.0);
+    const auto res = session.solve(prob.b, x);
+    EXPECT_TRUE(res.converged) << c.label();
+    EXPECT_LT(la::dist2(x, x_ref) / la::norm2(x_ref), 1e-5) << c.label();
   }
 }
-#pragma GCC diagnostic pop
 
 TEST(HybridFacade, HistoryTracksMonotoneDecreaseForDdmLu) {
   auto [m, prob] = fresh_problem(1009, 2000);

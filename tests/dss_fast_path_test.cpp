@@ -8,8 +8,9 @@
 //   - factorized forward vs reference forward within 1e-4 relative on
 //     random graphs across latent/hidden sizes, cached and cache-less
 //     (which must agree bit-for-bit with each other),
-//   - solver-level: PCG iteration counts for every ddm-gnn registry entry
-//     unchanged (±1) between the fast and reference paths.
+//   - solver-level: PCG iteration counts for ddm-gnn at every coarse depth
+//     (mg_levels 0, 1, 2) unchanged (±1) between the fast and reference
+//     paths.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,6 +29,7 @@
 #include "mesh/generator.hpp"
 #include "nn/mlp.hpp"
 #include "precond/registry.hpp"
+#include "precond_configs.hpp"
 
 namespace {
 
@@ -269,15 +271,16 @@ TEST(FastForward, SolverIterationCountsMatchReferenceForAllGnnEntries) {
   mc.hidden = 4;
 
   int covered = 0;
-  for (const std::string& name : precond::preconditioner_names()) {
-    if (name.rfind("ddm-gnn", 0) != 0) continue;
+  for (const test::PrecondConfig& c : test::precond_configs()) {
+    if (c.name != "ddm-gnn") continue;
     ++covered;
 
     auto run = [&](bool fast) {
       gnn::DssModel model(mc, 7);  // same seed ⇒ identical weights
       model.set_fast_inference(fast);
       core::HybridConfig cfg;
-      cfg.preconditioner = name;
+      cfg.preconditioner = c.name;
+      cfg.mg_levels = c.mg_levels;
       cfg.subdomain_target_nodes = 250;
       cfg.rel_tol = 1e-8;
       cfg.max_iterations = 60;  // untrained model: bound the run, compare
@@ -292,9 +295,9 @@ TEST(FastForward, SolverIterationCountsMatchReferenceForAllGnnEntries) {
 
     const auto res_ref = run(/*fast=*/false);
     const auto res_fast = run(/*fast=*/true);
-    EXPECT_NEAR(res_fast.iterations, res_ref.iterations, 1) << name;
+    EXPECT_NEAR(res_fast.iterations, res_ref.iterations, 1) << c.label();
   }
-  EXPECT_GE(covered, 2);  // ddm-gnn and ddm-gnn-1level at minimum
+  EXPECT_EQ(covered, 3);  // ddm-gnn at mg_levels 0, 1 and 2
 }
 
 }  // namespace

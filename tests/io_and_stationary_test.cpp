@@ -14,6 +14,7 @@
 #include "fem/poisson.hpp"
 #include "la/vector_ops.hpp"
 #include "mesh/generator.hpp"
+#include "partition/coarse_space.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/asm_precond.hpp"
 #include "precond/preconditioner.hpp"
@@ -102,7 +103,8 @@ TEST(Stationary, AsmFixedPointWithSafeDampingAndPcgIsFaster) {
   const auto dec =
       partition::decompose_target_size(m.adj_ptr(), m.adj(), 300, 2, 7);
   precond::AdditiveSchwarz ddm(
-      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>());
+      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>(),
+      std::make_unique<partition::NicolaidesCoarseSpace>(prob.A, dec));
 
   const double lambda_max = estimate_lambda_max(prob.A, ddm);
   EXPECT_GT(lambda_max, 1.0);   // overlap + coarse => eigenvalues above 1
@@ -132,7 +134,8 @@ TEST(Stationary, UndampedOverlappingAsmDiverges) {
       m, [](const Point2&) { return 1.0; }, [](const Point2&) { return 0.0; });
   const auto dec = partition::decompose(m.adj_ptr(), m.adj(), 6, 2, 9);
   precond::AdditiveSchwarz ddm(
-      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>());
+      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>(),
+      std::make_unique<partition::NicolaidesCoarseSpace>(prob.A, dec));
   std::vector<double> x(prob.b.size(), 0.0);
   solver::SolveOptions opts;
   opts.rel_tol = 1e-10;
@@ -170,7 +173,8 @@ TEST(Stationary, HistoryDecreasesGeometricallyForDampedAsm) {
       m, [](const Point2&) { return 1.0; }, [](const Point2&) { return 0.0; });
   const auto dec = partition::decompose(m.adj_ptr(), m.adj(), 4, 2, 11);
   precond::AdditiveSchwarz ddm(
-      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>());
+      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>(),
+      std::make_unique<partition::NicolaidesCoarseSpace>(prob.A, dec));
   const double damping = 0.9 / estimate_lambda_max(prob.A, ddm);
   std::vector<double> x(prob.b.size(), 0.0);
   solver::SolveOptions opts;

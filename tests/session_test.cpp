@@ -1,8 +1,9 @@
 // Tests of the setup/solve session API and the string-keyed preconditioner
-// registry: registry round-trips (every registered name constructs and the
-// instance reports the same name), the unknown-name error path, alias
-// resolution, Krylov-method selector round-trips, setup-once/solve-many
-// state reuse, and the deprecated solve_poisson facade as a wrapper.
+// registry: registry round-trips (every configuration constructs and the
+// instance reports its registry name), mg_levels alone picking the Schwarz
+// coarse correction, the unknown-name error path, alias resolution,
+// Krylov-method selector round-trips, setup-once/solve-many state reuse, and
+// setup reproducibility across fresh sessions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/hybrid_solver.hpp"
 #include "core/solver_session.hpp"
 #include "fem/poisson.hpp"
 #include "gnn/dss_model.hpp"
@@ -19,7 +19,9 @@
 #include "la/vector_ops.hpp"
 #include "mesh/generator.hpp"
 #include "partition/decomposition.hpp"
+#include "precond/asm_precond.hpp"
 #include "precond/registry.hpp"
+#include "precond_configs.hpp"
 #include "solver/krylov.hpp"
 
 namespace {
@@ -52,6 +54,12 @@ gnn::DssModel tiny_model() {
   return gnn::DssModel(mc, 7);
 }
 
+TEST(Registry, BuiltInNamesAreExactlyTheFiveEntries) {
+  const std::vector<std::string> expected = {"ddm-gnn", "ddm-lu", "ic0",
+                                             "jacobi", "none"};
+  EXPECT_EQ(precond::preconditioner_names(), expected);
+}
+
 TEST(Registry, EveryRegisteredNameConstructsAndNameMatches) {
   auto [m, prob] = small_problem();
   const auto dec =
@@ -59,22 +67,61 @@ TEST(Registry, EveryRegisteredNameConstructsAndNameMatches) {
   const gnn::DssModel model = tiny_model();
   const la::CsrMatrix mesh_pattern =
       gnn::adjacency_pattern(m.adj_ptr(), m.adj());
-  const auto names = precond::preconditioner_names();
-  ASSERT_GE(names.size(), 7u);
-  for (const std::string& name : names) {
-    const auto& traits = precond::preconditioner_traits(name);
+  const auto configs = test::precond_configs();
+  ASSERT_GE(configs.size(), 9u);
+  for (const test::PrecondConfig& c : configs) {
+    const auto& traits = precond::preconditioner_traits(c.name);
     precond::PrecondContext ctx;
     ctx.A = &prob.A;
     ctx.coords = m.points();
     ctx.edge_pattern = &mesh_pattern;
     ctx.dirichlet = prob.dirichlet;
+    ctx.mg_levels = c.mg_levels;
     if (traits.needs_decomposition) ctx.dec = &dec;
     if (traits.needs_model) ctx.model = &model;
-    const auto p = precond::make_preconditioner(name, ctx);
-    ASSERT_NE(p, nullptr) << name;
-    EXPECT_EQ(p->name(), name);
-    EXPECT_EQ(p->is_symmetric(), traits.symmetric) << name;
+    const auto p = precond::make_preconditioner(c.name, ctx);
+    ASSERT_NE(p, nullptr) << c.label();
+    EXPECT_EQ(p->name(), c.name) << c.label();
+    EXPECT_EQ(p->is_symmetric(), traits.symmetric) << c.label();
   }
+}
+
+// The Schwarz entries' coarse correction is chosen by mg_levels alone: none
+// at depth 0, the Nicolaides solve at depth 1, a cycle at depth >= 2.
+TEST(Registry, MgLevelsAlonePicksTheCoarseComponent) {
+  auto [m, prob] = small_problem();
+  const auto dec =
+      partition::decompose_target_size(m.adj_ptr(), m.adj(), 250, 2, 3);
+  precond::PrecondContext ctx;
+  ctx.A = &prob.A;
+  ctx.dec = &dec;
+  const auto coarse_name = [&](int levels) -> std::string {
+    ctx.mg_levels = levels;
+    const auto p = precond::make_preconditioner("ddm-lu", ctx);
+    const auto* coarse =
+        dynamic_cast<const precond::AdditiveSchwarz&>(*p).coarse_component();
+    return coarse == nullptr ? "none" : coarse->name();
+  };
+  EXPECT_EQ(coarse_name(0), "none");
+  EXPECT_EQ(coarse_name(1), "nicolaides");
+  EXPECT_EQ(coarse_name(2), "mg-vcycle");
+}
+
+TEST(Registry, NegativeDepthThrowsNamingTheField) {
+  auto [m, prob] = small_problem();
+  core::HybridConfig cfg;
+  cfg.preconditioner = "ddm-lu";
+  cfg.subdomain_target_nodes = 250;
+  cfg.mg_levels = -1;
+  core::SolverSession session;
+  try {
+    session.setup(m, prob, cfg);
+    FAIL() << "expected ContractError";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("mg_levels"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(session.ready());
 }
 
 TEST(Registry, UnknownNameThrowsListingRegisteredNames) {
@@ -93,13 +140,11 @@ TEST(Registry, UnknownNameThrowsListingRegisteredNames) {
 
 TEST(Registry, AliasesResolveToCanonicalNames) {
   const auto& reg = precond::PrecondRegistry::instance();
-  EXPECT_EQ(reg.canonical("ddm-lu-1"), "ddm-lu-1level");
-  EXPECT_EQ(reg.canonical("ddm-gnn-1"), "ddm-gnn-1level");
   EXPECT_EQ(reg.canonical("identity"), "none");
   // Aliases are reachable but not listed.
-  EXPECT_TRUE(reg.contains("ddm-lu-1"));
+  EXPECT_TRUE(reg.contains("identity"));
   const auto names = precond::preconditioner_names();
-  EXPECT_EQ(std::count(names.begin(), names.end(), "ddm-lu-1"), 0);
+  EXPECT_EQ(std::count(names.begin(), names.end(), "identity"), 0);
 }
 
 TEST(Registry, MissingRequirementsFailWithReadableErrors) {
@@ -259,27 +304,28 @@ TEST(SolverSession, FailedReSetupLeavesSessionNotReady) {
   EXPECT_THROW(session.solve(prob.b, x), ContractError);
 }
 
-// The deprecated facade must stay a faithful wrapper over SolverSession.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(SolvePoissonFacade, MatchesSessionSetupPlusSolve) {
+// Setup is deterministic: two fresh sessions on one problem report the same
+// decomposition and solve bit for bit alike.
+TEST(SessionSetup, FreshSessionsSolveBitwiseIdentically) {
   auto [m, prob] = small_problem(23, 1200);
   core::HybridConfig cfg;
   cfg.preconditioner = "ddm-lu";
   cfg.subdomain_target_nodes = 300;
-  const auto rep = core::solve_poisson(m, prob, cfg);
-  EXPECT_TRUE(rep.result.converged);
-  EXPECT_GT(rep.num_subdomains, 1);
-  EXPECT_GT(rep.setup_seconds, 0.0);
+  core::SolverSession first;
+  first.setup(m, prob, cfg);
+  std::vector<double> x_first(prob.b.size(), 0.0);
+  const auto res_first = first.solve(prob.b, x_first);
+  EXPECT_TRUE(res_first.converged);
+  EXPECT_GT(first.num_subdomains(), 1);
+  EXPECT_GT(first.setup_seconds(), 0.0);
 
   core::SolverSession session;
   session.setup(m, prob, cfg);
   std::vector<double> x(prob.b.size(), 0.0);
   const auto res = session.solve(prob.b, x);
-  EXPECT_EQ(res.iterations, rep.result.iterations);
-  EXPECT_EQ(session.num_subdomains(), rep.num_subdomains);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], rep.solution[i]);
+  EXPECT_EQ(res.iterations, res_first.iterations);
+  EXPECT_EQ(session.num_subdomains(), first.num_subdomains());
+  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], x_first[i]);
 }
-#pragma GCC diagnostic pop
 
 }  // namespace

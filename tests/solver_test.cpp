@@ -11,6 +11,7 @@
 #include "la/skyline_cholesky.hpp"
 #include "la/vector_ops.hpp"
 #include "mesh/generator.hpp"
+#include "partition/coarse_space.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/asm_precond.hpp"
 #include "precond/ic0_precond.hpp"
@@ -106,7 +107,8 @@ TEST(AsmPrecond, TwoLevelLuConvergesFast) {
   const auto dec =
       partition::decompose_target_size(m.adj_ptr(), m.adj(), 400, 2, 6);
   precond::AdditiveSchwarz ddm_lu(
-      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>());
+      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>(),
+      std::make_unique<partition::NicolaidesCoarseSpace>(prob.A, dec));
   std::vector<double> x(prob.b.size(), 0.0);
   const auto res = solver::pcg(prob.A, ddm_lu, prob.b, x, {.rel_tol = 1e-6});
   EXPECT_TRUE(res.converged);
@@ -119,12 +121,12 @@ TEST(AsmPrecond, TwoLevelBeatsOneLevelWithManySubdomains) {
   const auto dec =
       partition::decompose_target_size(m.adj_ptr(), m.adj(), 150, 2, 7);
   ASSERT_GT(dec.num_parts, 10);
-  precond::AdditiveSchwarz one(prob.A, dec,
-                               std::make_unique<precond::CholeskySubdomainSolver>(),
-                               precond::AdditiveSchwarz::Config{false});
-  precond::AdditiveSchwarz two(prob.A, dec,
-                               std::make_unique<precond::CholeskySubdomainSolver>(),
-                               precond::AdditiveSchwarz::Config{true});
+  precond::AdditiveSchwarz one(
+      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>(),
+      /*coarse=*/nullptr);
+  precond::AdditiveSchwarz two(
+      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>(),
+      std::make_unique<partition::NicolaidesCoarseSpace>(prob.A, dec));
   std::vector<double> x1(prob.b.size(), 0.0), x2(prob.b.size(), 0.0);
   const auto r1 = solver::pcg(prob.A, one, prob.b, x1);
   const auto r2 = solver::pcg(prob.A, two, prob.b, x2);
@@ -141,7 +143,8 @@ TEST(AsmPrecond, LargerOverlapConvergesFaster) {
     const auto dec =
         partition::decompose_target_size(m.adj_ptr(), m.adj(), 300, overlap, 8);
     precond::AdditiveSchwarz ddm(
-        prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>());
+        prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>(),
+        std::make_unique<partition::NicolaidesCoarseSpace>(prob.A, dec));
     std::vector<double> x(prob.b.size(), 0.0);
     iters[idx++] = solver::pcg(prob.A, ddm, prob.b, x).iterations;
   }
@@ -152,7 +155,8 @@ TEST(AsmPrecond, ApplyIsLinear) {
   auto [m, prob] = make_mesh_problem(9, 0.08);
   const auto dec = partition::decompose(m.adj_ptr(), m.adj(), 4, 2, 9);
   precond::AdditiveSchwarz ddm(
-      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>());
+      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>(),
+      std::make_unique<partition::NicolaidesCoarseSpace>(prob.A, dec));
   const std::size_t n = prob.b.size();
   Rng rng(10);
   std::vector<double> u(n), v(n), zu(n), zv(n), zw(n), w(n);
@@ -174,7 +178,8 @@ TEST(AsmPrecond, ApplyIsSymmetric) {
   auto [m, prob] = make_mesh_problem(11, 0.09);
   const auto dec = partition::decompose(m.adj_ptr(), m.adj(), 4, 2, 11);
   precond::AdditiveSchwarz ddm(
-      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>());
+      prob.A, dec, std::make_unique<precond::CholeskySubdomainSolver>(),
+      std::make_unique<partition::NicolaidesCoarseSpace>(prob.A, dec));
   EXPECT_TRUE(ddm.is_symmetric());
   const std::size_t n = prob.b.size();
   Rng rng(12);

@@ -17,18 +17,20 @@
 // side is A·1 (manufactured solution = all-ones).
 //
 // Preconditioners: any registered name (none | jacobi | ic0 | ddm-lu |
-//                  ddm-lu-1level | ddm-gnn | ddm-gnn-1level, plus aliases).
+//                  ddm-gnn, plus the alias identity).
 // Krylov: cg | pcg | fpcg | bicgstab | gmres | richardson (the stationary
 // Eq. 8 iteration; damped by --omega, auto power-iteration bound when
 // omitted); default picked from the preconditioner's symmetry.
 // --repeat N re-solves the same system N times through one session, showing
 // the setup cost amortize away.
-// Multi-level (-ml entries): --levels L sets the coarse-hierarchy depth
-// (L=1 keeps the classic dense Nicolaides solve; L>=2 builds the
-// smoothed-aggregation hierarchy), --cycle v|w picks the cycle shape,
-// --smoother jacobi|chebyshev and --smooth-steps N tune the intermediate
-// levels. When a hierarchy is active a per-level stats block (rows / nnz
-// per level, dense-factor and total coarse bytes) is printed after setup.
+// Coarse correction (ddm-lu, ddm-gnn): --levels L picks it (0 = none, the
+// one-level method; 1 = the dense Nicolaides solve, the default; L>=2
+// builds the smoothed-aggregation hierarchy), --cycle v|w picks the cycle
+// shape, --smoother jacobi|chebyshev and --smooth-steps N tune the
+// intermediate levels. When a hierarchy is active a per-level stats block
+// (rows / nnz per level, dense-factor and total coarse bytes) is printed
+// after setup. An invalid setting (e.g. a negative --levels) exits 2 with
+// the setup error.
 // --threads N pins the worker-thread count (reported as threads= on every
 // result line so timings stay interpretable).
 // --verbose-timing prints a one-line phase summary (setup / iterate /
@@ -229,13 +231,6 @@ int main(int argc, char** argv) {
   cfg.mg_smooth_steps =
       static_cast<int>(arg_num(argc, argv, "--smooth-steps", 1));
   cfg.seed = seed;
-  if (cfg.mg_levels > 1 && !precond.ends_with("-ml")) {
-    std::fprintf(stderr,
-                 "--levels %d only applies to the multi-level entries "
-                 "(ddm-lu-ml | ddm-gnn-ml); --precond %s ignores it\n",
-                 cfg.mg_levels, precond.c_str());
-    return 2;
-  }
 
   std::optional<gnn::DssModel> model;
   if (traits.needs_model) {
@@ -265,10 +260,15 @@ int main(int argc, char** argv) {
   }
 
   core::SolverSession session;
-  if (matrix_path != nullptr) {
-    session.setup(prob.A, cfg);  // algebraic path: graph + synthetic coords
-  } else {
-    session.setup(*m, prob, cfg);
+  try {
+    if (matrix_path != nullptr) {
+      session.setup(prob.A, cfg);  // algebraic path: graph + synthetic coords
+    } else {
+      session.setup(*m, prob, cfg);
+    }
+  } catch (const ddmgnn::ContractError& e) {
+    std::fprintf(stderr, "setup failed: %s\n", e.what());
+    return 2;
   }
 
   // Per-level hierarchy report (only when an mg coarse component is active).
