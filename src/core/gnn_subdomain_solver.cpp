@@ -46,7 +46,9 @@ struct GnnWorkspace final : precond::SubdomainSolver::Workspace {
     gnn::GraphSample sample;          // topo rebound per shard, rhs owned here
     std::vector<float> out;
     std::vector<double> scale;
-    std::vector<std::vector<double>> res;
+    std::vector<double> residual;     // solve_all: current local residual
+    std::vector<std::vector<double>> res;  // solve_all_block: per task
+    la::SkylineCholesky::Scratch chol;     // fallback sweeps
   };
   std::vector<Lane> lanes;
 
@@ -68,10 +70,10 @@ GnnWorkspace& workspace_of(precond::SubdomainSolver::Workspace* ws) {
   return *gws;
 }
 
-/// Merged-node budget per inference shard. Bounds the forward workspace (the
-/// per-edge tensors of all k̄ blocks) while still fusing several local
-/// problems into one DSS call; shard count never drops below the thread
-/// count, so the batched path keeps every core busy.
+/// Merged-node budget per inference shard. Bounds the forward workspace
+/// while still fusing several local problems into one DSS call; shard count
+/// never drops below the thread count, so the batched path keeps every core
+/// busy.
 constexpr la::Index kShardNodeBudget = 4096;
 
 std::size_t topology_bytes(const gnn::GraphTopology& t) {
@@ -233,7 +235,8 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
       // envelope sweeps, 2 flops per stored entry each (the factorization is
       // one-time setup cost, not counted). GNN: (passes+1) inferences, each
       // k̄ message-passing iterations of two n×d×hidden edge-endpoint
-      // projections, the ne×hidden×d edge-MLP layer-2 GEMM, and the ~3
+      // projections, the per-edge gather-sum of ne×hidden activations, the
+      // edge-MLP layer 2 applied once per node (n×hidden×d), and the ~3
       // d×d-shaped node-update GEMMs.
       chol = std::make_unique<la::SkylineCholesky>(topo->a_local);
       const double exact_flops =
@@ -244,7 +247,8 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
       const double h = static_cast<double>(mc.hidden);
       const double per_inference =
           static_cast<double>(mc.iterations) *
-          (4.0 * nd * d * h + 2.0 * ne * h * d + 6.0 * nd * d * d);
+          (4.0 * nd * d * h + 2.0 * ne * h + 2.0 * nd * h * d +
+           6.0 * nd * d * d);
       const double gnn_flops = (needed + 1) * per_inference;
       use_fallback =
           gnn_flops > options_.fallback_cost_margin * exact_flops;
@@ -284,28 +288,19 @@ GnnSubdomainSolver::make_workspace() const {
 }
 
 std::size_t GnnSubdomainSolver::workspace_bytes() const {
-  // Coarse steady-state estimate of one caller's warmed-up lanes: the DSS
-  // forward buffers are dominated by per-edge hidden activations and
-  // per-node latent/projection tensors; every lane ends up sized to the
-  // largest shard (≈ the merged node budget) it has processed.
-  long max_nodes = 0, max_edges = 0, total_nodes = 0;
-  for (const auto& t : topologies_) {
-    max_nodes = std::max<long>(max_nodes, t->n);
-    max_edges = std::max<long>(max_edges, t->num_edges());
-    total_nodes += t->n;
-  }
-  if (total_nodes == 0) return 0;
-  const double edges_per_node =
-      max_nodes > 0 ? static_cast<double>(max_edges) / max_nodes : 0.0;
+  // Coarse steady-state estimate of one caller's warmed-up lanes: the fast
+  // DSS forward buffers are per-node latent/projection tensors (its per-edge
+  // terms live in the setup-time edge caches); every lane ends up sized to
+  // the largest shard (≈ the merged node budget) it has processed.
+  long max_nodes = 0;
+  for (const auto& t : topologies_) max_nodes = std::max<long>(max_nodes, t->n);
+  if (max_nodes == 0) return 0;
   const long shard_nodes = std::max<long>(max_nodes, kShardNodeBudget);
-  const long shard_edges = static_cast<long>(edges_per_node * shard_nodes);
   const auto& cfg = model_->config();
   const std::size_t per_lane =
       static_cast<std::size_t>(shard_nodes) *
           (4 * cfg.latent + 2 * cfg.hidden + cfg.update_input_dim() + 2) *
           sizeof(float) +
-      static_cast<std::size_t>(shard_edges) *
-          (2 * cfg.hidden + cfg.latent) * sizeof(float) +
       static_cast<std::size_t>(shard_nodes) * 2 * sizeof(double);
   return per_lane * static_cast<std::size_t>(std::max(1, num_threads()));
 }
@@ -332,9 +327,9 @@ void GnnSubdomainSolver::solve_all(
       // Non-contractive subdomain: exact local solve (adaptive setup).
       z.assign(r.begin(), r.end());
       if (options_.fp32_fallback) {
-        fallback_[i]->solve_inplace_fp32(z);
+        fallback_[i]->solve_inplace_fp32(z, lane.chol);
       } else {
-        fallback_[i]->solve_inplace(z);
+        fallback_[i]->solve_inplace(z, lane.chol);
       }
       continue;
     }
@@ -345,7 +340,8 @@ void GnnSubdomainSolver::solve_all(
     sample.topo = topo;
     sample.rhs.resize(n);
     std::vector<float>& out = lane.out;
-    std::vector<double> res(r.begin(), r.end());  // current local residual
+    std::vector<double>& res = lane.residual;  // current local residual
+    res.assign(r.begin(), r.end());
     for (int pass = 0; pass <= steps; ++pass) {
       const double norm = la::norm2(res);
       if (norm <= options_.zero_threshold) break;
@@ -572,23 +568,20 @@ void GnnSubdomainSolver::solve_all_block(
   if (fallback_count_ > 0) {
     // Exact-local-solve subdomains (adaptive setup) run outside the merged
     // shards: per (subdomain, column), copy the residual and sweep.
-    std::vector<la::Index> fb;
-    fb.reserve(static_cast<std::size_t>(fallback_count_));
-    for (std::size_t i = 0; i < fallback_.size(); ++i) {
-      if (fallback_[i] != nullptr) fb.push_back(static_cast<la::Index>(i));
-    }
-    const long nfb = static_cast<long>(fb.size()) * s;
+    const long ntasks = static_cast<long>(fallback_.size()) * s;
 #pragma omp parallel for schedule(dynamic, 1) num_threads(team)
-    for (long t = 0; t < nfb; ++t) {
-      const la::Index part = fb[static_cast<std::size_t>(t / s)];
+    for (long t = 0; t < ntasks; ++t) {
+      const auto part = static_cast<la::Index>(t / s);
+      if (fallback_[part] == nullptr) continue;
       const auto col = static_cast<la::Index>(t % s);
       auto z = z_loc[part].col(col);
       const auto r = r_loc[part].col(col);
       for (std::size_t l = 0; l < z.size(); ++l) z[l] = r[l];
+      la::SkylineCholesky::Scratch& chol = gws.lane(omp_get_thread_num()).chol;
       if (options_.fp32_fallback) {
-        fallback_[part]->solve_inplace_fp32(z);
+        fallback_[part]->solve_inplace_fp32(z, chol);
       } else {
-        fallback_[part]->solve_inplace(z);
+        fallback_[part]->solve_inplace(z, chol);
       }
     }
   }

@@ -1,6 +1,5 @@
 #include "gnn/dss_kernels.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
@@ -14,10 +13,6 @@ namespace ddmgnn::gnn {
 namespace {
 constexpr long kEdgeGrain = 2048;  // per-edge kernels: rows per fork threshold
 constexpr long kNodeGrain = 2048;  // per-node kernels
-// fused_layer2_aggregate: edges per register-blocked batch. At the paper's
-// widths (hidden = latent = 10) one batch is ~10 KB of activations+messages —
-// resident in L1 while the layer-2 GEMM consumes it.
-constexpr int kFusedEdgeBlock = 128;
 }  // namespace
 
 void record_phase_profile(const DssPhaseProfile& prof, std::int64_t start_ns,
@@ -189,53 +184,44 @@ void fused_layer2_aggregate(const GraphTopology& topo,
   const int hid = p_recv.cols;
   DDMGNN_ASSERT(p_send.cols == hid && attr_proj.cols == hid &&
                 attr_proj.rows == topo.num_edges());
-  phi.resize(n, out);
-  if (n == 0 || out == 0) return;
-  // Pre-transpose W₂ to [hid × out] once, outside the node loop, exactly as
-  // fused_gemm would — the per-row GEMM below then matches it bitwise.
-  std::vector<float> wt(static_cast<std::size_t>(hid) * out);
-  for (int o = 0; o < out; ++o) {
-    const float* wo = w2 + static_cast<std::size_t>(o) * hid;
-    for (int k = 0; k < hid; ++k) {
-      wt[static_cast<std::size_t>(k) * out + o] = wo[k];
-    }
-  }
-  const float* wtp = wt.data();
+  // Per-node activation sums (n × hid). Thread-local like fused_gemm's
+  // transposed weights: sized by the largest graph this thread has run, and
+  // bound to a reference so that forked workers fill the caller's rows.
+  thread_local nn::Tensor tls_sums;
+  nn::Tensor& sums = tls_sums;
+  sums.resize(n, hid);
+  // Step 1: sum the ReLU'd activations over each receiver's segment.
   parallel_for(
       n,
       [&](long j) {
-        thread_local nn::Tensor act;  // batch activations (≤ block × hid)
-        thread_local nn::Tensor msg;  // batch messages (≤ block × out)
-        float* dst = phi.row(static_cast<int>(j));
-        for (int k = 0; k < out; ++k) dst[k] = 0.0f;
-        const la::Offset lo = topo.recv_ptr[j];
-        const la::Offset hi = topo.recv_ptr[j + 1];
+        float* acc = sums.row(static_cast<int>(j));
+        for (int k = 0; k < hid; ++k) acc[k] = 0.0f;
         // Every edge in node j's segment has recv[e] == j.
         const float* pr = p_recv.row(static_cast<int>(j));
-        for (la::Offset base = lo; base < hi; base += kFusedEdgeBlock) {
-          const int nb = static_cast<int>(
-              std::min<la::Offset>(kFusedEdgeBlock, hi - base));
-          act.resize(nb, hid);
-          msg.resize(nb, out);
-          for (int r = 0; r < nb; ++r) {
-            const Index e = topo.recv_order[base + r];
-            const float* ps = p_send.row(topo.send[e]);
-            const float* ap = attr_proj.row(e);
-            float* row = act.row(r);
+        for (la::Offset idx = topo.recv_ptr[j]; idx < topo.recv_ptr[j + 1];
+             ++idx) {
+          const Index e = topo.recv_order[idx];
+          const float* ps = p_send.row(topo.send[e]);
+          const float* ap = attr_proj.row(e);
 #pragma omp simd
-            for (int o = 0; o < hid; ++o) {
-              const float v = pr[o] + ps[o] + ap[o];
-              row[o] = v > 0.0f ? v : 0.0f;
-            }
-          }
-          nn::fused_gemm_rows(wtp, hid, out, b2, /*relu=*/false, act, msg, 0,
-                              nb);
-          for (int r = 0; r < nb; ++r) {
-            const float* src = msg.row(r);
-#pragma omp simd
-            for (int k = 0; k < out; ++k) dst[k] += src[k];
+          for (int k = 0; k < hid; ++k) {
+            const float v = pr[k] + ps[k] + ap[k];
+            acc[k] += v > 0.0f ? v : 0.0f;
           }
         }
+      },
+      kNodeGrain);
+  // Step 2: W₂ once per node, then deg_j·b₂. A node without incoming edges
+  // has a zero sum and no bias term, so φ_j = 0.
+  nn::fused_gemm(w2, hid, /*col0=*/0, out, /*b=*/nullptr, /*relu=*/false,
+                 sums, phi);
+  parallel_for(
+      n,
+      [&](long j) {
+        const auto deg =
+            static_cast<float>(topo.recv_ptr[j + 1] - topo.recv_ptr[j]);
+        float* y = phi.row(static_cast<int>(j));
+        for (int o = 0; o < out; ++o) y[o] += deg * b2[o];
       },
       kNodeGrain);
 }

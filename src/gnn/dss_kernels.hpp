@@ -12,10 +12,18 @@
 // materialized edge-input matrix) plus a per-edge gather-sum. The attr term
 // depends only on edge geometry and frozen model parameters, so it is
 // precomputed once per (topology, model) pair — DssEdgeCache — and reused
-// across every apply of every solve. Aggregation runs as a segmented
-// reduction over the receiver-CSR index (GraphTopology::recv_ptr /
-// recv_order): parallel over nodes, no atomics, bitwise equal to the serial
-// scatter at any thread count.
+// across every apply of every solve.
+//
+// The second layer is linear and Eqs. 18–19 aggregate by summation, so it
+// commutes with the aggregation:
+//
+//   φ_j = Σ_{e→j} (W₂ a_e + b₂) = W₂ (Σ_{e→j} a_e) + deg_j · b₂
+//
+// with a_e the ReLU'd first-layer activation. The engine sums activations
+// over each receiver's segment of the receiver-CSR index
+// (GraphTopology::recv_ptr / recv_order) and applies W₂ once per node:
+// parallel over nodes, no atomics, and a fixed per-node order, so results
+// are identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +56,8 @@ struct DssEdgeCache {
 /// passes — the bench_precond_apply breakdown.
 struct DssPhaseProfile {
   double projection = 0.0;  ///< node/edge GEMMs of the message MLPs
-  double gather = 0.0;      ///< per-edge pre-activation assembly + ReLU
-  double aggregate = 0.0;   ///< segmented per-node message reduction
+  double gather = 0.0;      ///< always 0: the gather runs inside aggregate
+  double aggregate = 0.0;   ///< fused_layer2_aggregate
   double update = 0.0;      ///< Ψ input assembly + MLP + ResNet step
   double decode = 0.0;      ///< decoder MLP
 
@@ -97,22 +105,21 @@ void project_attr(const GraphTopology& topo, const float* w, int ldw,
                   int col0, const float* b, float sign, int out,
                   nn::Tensor& y);
 
-/// Fused gather: e_act[e,:] = ReLU(p_recv[recv[e],:] + p_send[send[e],:] +
-/// attr_proj[e,:]) — the factorized first layer's activation.
+/// Gather: e_act[e,:] = ReLU(p_recv[recv[e],:] + p_send[send[e],:] +
+/// attr_proj[e,:]) — the factorized first layer's activation, materialized
+/// per edge. With Linear::forward_fused and aggregate_segmented it forms the
+/// three-step test oracle for fused_layer2_aggregate.
 void gather_edge_preact(const GraphTopology& topo, const nn::Tensor& p_recv,
                         const nn::Tensor& p_send, const nn::Tensor& attr_proj,
                         nn::Tensor& e_act);
 
-/// Fused layer2 + aggregate: the gather, the edge MLP's second-layer GEMM
-/// (`w2` row-major [out × in], bias `b2`), and the receiver-CSR segmented
-/// reduction in one pass. Edges are consumed per receiver node in recv_order,
-/// in small register-blocked batches whose layer-2 output rows are
-/// accumulated straight into phi[j] — the ne×hidden activation and ne×out
-/// message matrices of the two-step path are never materialized. Per-row
-/// GEMM arithmetic is fused_gemm's and the per-node accumulation order is
-/// aggregate_segmented's, so the result is bitwise equal to
-/// gather_edge_preact + forward_fused + aggregate_segmented at any thread
-/// count and any batch boundary. Requires finalize_topology().
+/// Aggregate-then-project message layer: φ[j,:] = W₂·Σ_{e→j} a_e + deg_j·b₂
+/// with a_e = ReLU(p_recv[j,:] + p_send[send[e],:] + attr_proj[e,:]), `w2`
+/// row-major [out × hid] and `b2` the layer-2 bias. Per edge this is hid
+/// adds; W₂ runs once per node (through fused_gemm), not once per edge. A
+/// node without incoming edges gets φ_j = 0. Agrees with gather_edge_preact
+/// + Linear::forward_fused + aggregate_segmented to float rounding, and is
+/// bitwise identical at any thread count. Requires finalize_topology().
 void fused_layer2_aggregate(const GraphTopology& topo,
                             const nn::Tensor& p_recv,
                             const nn::Tensor& p_send,

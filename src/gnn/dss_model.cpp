@@ -167,29 +167,14 @@ void DssModel::run_forward_fast(const GraphSample& g, const DssEdgeCache* cache,
       }
       toc(&DssPhaseProfile::projection);
 
-      if (cfg_.fused_aggregate) {
-        // One pass over the receiver-CSR index: gather + layer-2 GEMM +
-        // reduction, bitwise equal to the three-step sequence below. The
-        // merged time lands on the aggregate slot of the profile.
-        tic();
-        const nn::Linear& l2 = mlp.l2();
-        fused_layer2_aggregate(topo, f.p_recv, f.p_send, *attr_proj,
-                               l2.weights(p), l2.bias(p), d,
-                               flip ? f.phi_bwd : f.phi_fwd);
-        toc(&DssPhaseProfile::aggregate);
-      } else {
-        tic();
-        gather_edge_preact(topo, f.p_recv, f.p_send, *attr_proj, f.e_act);
-        toc(&DssPhaseProfile::gather);
-
-        tic();
-        mlp.l2().forward_fused(p, f.e_act, f.m_edge, /*relu=*/false);
-        toc(&DssPhaseProfile::projection);
-
-        tic();
-        aggregate_segmented(topo, f.m_edge, flip ? f.phi_bwd : f.phi_fwd);
-        toc(&DssPhaseProfile::aggregate);
-      }
+      // Gather + layer 2 + receiver reduction in one pass over the
+      // receiver-CSR index; the whole kernel lands on the aggregate slot.
+      tic();
+      const nn::Linear& l2 = mlp.l2();
+      fused_layer2_aggregate(topo, f.p_recv, f.p_send, *attr_proj,
+                             l2.weights(p), l2.bias(p), d,
+                             flip ? f.phi_bwd : f.phi_fwd);
+      toc(&DssPhaseProfile::aggregate);
     }
 
     tic();

@@ -46,14 +46,6 @@ struct DssConfig {
   /// serialized model identity; training always uses the reference kernels
   /// because the backward pass consumes their caches.
   bool fast_inference = true;
-  /// Fast-path variant selector: true consumes each edge batch's layer-2
-  /// output directly into the receiver-CSR reduction
-  /// (fused_layer2_aggregate — no ne×hidden/ne×latent materialization),
-  /// false keeps the three-step gather → layer-2 GEMM → aggregate sequence.
-  /// The two are bitwise equal at any thread count, so this defaults on; the
-  /// flag exists for A/B benching and the equivalence test. Not part of the
-  /// serialized model identity.
-  bool fused_aggregate = true;
 
   int node_input_dim() const { return dirichlet_flag ? 2 : 1; }
   int message_input_dim() const { return 2 * latent + 3; }
@@ -82,12 +74,11 @@ struct DssWorkspace {
   nn::Tensor dh, dh_next, du, drhat, dx_psi, dm, dx_edge, dphi_fwd, dphi_bwd;
   /// Factorized-inference scratch: the fast path needs no per-iteration
   /// state (only the running latent), so its buffers are flat and ping-pong.
+  /// With an edge cache, nothing here is per-edge.
   struct Fast {
     nn::Tensor h_cur, h_next;         // latent (n × d)
     nn::Tensor p_recv, p_send;        // node projections (n × hidden)
     nn::Tensor attr_scratch;          // cache-less attr projections (ne × hidden)
-    nn::Tensor e_act;                 // fused edge activations (ne × hidden)
-    nn::Tensor m_edge;                // edge messages (ne × d)
     nn::Tensor phi_fwd, phi_bwd;      // aggregated messages (n × d)
     nn::Tensor x_psi, u;              // Ψ input / output
     nn::Tensor hidden;                // MLP hidden scratch
@@ -103,9 +94,6 @@ class DssModel {
   /// Flip between the factorized engine and the scalar reference path
   /// (benches and the equivalence tests A/B the two on one binary).
   void set_fast_inference(bool fast) { cfg_.fast_inference = fast; }
-  /// Flip the fused layer2+aggregate kernel inside the fast path (see
-  /// DssConfig::fused_aggregate).
-  void set_fused_aggregate(bool fused) { cfg_.fused_aggregate = fused; }
   std::size_t num_params() const { return store_.size(); }
   std::span<float> params() { return store_.values(); }
   std::span<const float> params() const { return store_.values(); }

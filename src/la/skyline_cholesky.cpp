@@ -75,42 +75,52 @@ SkylineCholesky::SkylineCholesky(const CsrMatrix& a, bool use_rcm) {
   }
 }
 
-void SkylineCholesky::solve_inplace(std::span<double> b) const {
-  DDMGNN_CHECK(b.size() == static_cast<std::size_t>(n_),
-               "SkylineCholesky::solve dims");
-  const bool permuted = !perm_.empty();
-  std::vector<double> y(n_);
-  if (permuted) {
-    for (Index p = 0; p < n_; ++p) y[p] = b[perm_[p]];
-  } else {
-    std::copy(b.begin(), b.end(), y.begin());
-  }
-  // Forward: L y' = y
-  for (Index i = 0; i < n_; ++i) {
-    const double* row_i = &values_[offset_[i]];
-    const Index fi = first_[i];
-    double acc = y[i];
+namespace {
+
+/// Forward L y' = y, then backward Lᵀ x = y' (column sweep over the envelope
+/// rows), in place on y — shared by the fp64 and fp32 solves. y never
+/// aliases the factor; saying so lets the row updates vectorize unchecked.
+template <typename T>
+void envelope_sweeps(Index n, const std::vector<Index>& first,
+                     const std::vector<std::size_t>& offset,
+                     const T* __restrict values, T* __restrict y) {
+  for (Index i = 0; i < n; ++i) {
+    const T* row_i = &values[offset[i]];
+    const Index fi = first[i];
+    T acc = y[i];
     for (Index k = fi; k < i; ++k) acc -= row_i[k - fi] * y[k];
     y[i] = acc / row_i[i - fi];
   }
-  // Backward: Lᵀ x = y' (column sweep over the envelope rows).
-  for (Index i = n_ - 1; i >= 0; --i) {
-    const double* row_i = &values_[offset_[i]];
-    const Index fi = first_[i];
-    const double xi = y[i] / row_i[i - fi];
+  for (Index i = n - 1; i >= 0; --i) {
+    const T* row_i = &values[offset[i]];
+    const Index fi = first[i];
+    const T xi = y[i] / row_i[i - fi];
     y[i] = xi;
     for (Index k = fi; k < i; ++k) y[k] -= row_i[k - fi] * xi;
   }
-  if (permuted) {
-    for (Index p = 0; p < n_; ++p) b[perm_[p]] = y[p];
-  } else {
-    std::copy(y.begin(), y.end(), b.begin());
+}
+
+}  // namespace
+
+void SkylineCholesky::solve_inplace(std::span<double> b,
+                                    Scratch& scratch) const {
+  DDMGNN_CHECK(b.size() == static_cast<std::size_t>(n_),
+               "SkylineCholesky::solve dims");
+  if (perm_.empty()) {
+    envelope_sweeps(n_, first_, offset_, values_.data(), b.data());
+    return;
   }
+  std::vector<double>& y = scratch.y;
+  y.resize(n_);
+  for (Index p = 0; p < n_; ++p) y[p] = b[perm_[p]];
+  envelope_sweeps(n_, first_, offset_, values_.data(), y.data());
+  for (Index p = 0; p < n_; ++p) b[perm_[p]] = y[p];
 }
 
 std::vector<double> SkylineCholesky::solve(std::span<const double> b) const {
   std::vector<double> x(b.begin(), b.end());
-  solve_inplace(x);
+  Scratch scratch;
+  solve_inplace(x, scratch);
   return x;
 }
 
@@ -119,33 +129,21 @@ void SkylineCholesky::enable_fp32() {
   values_f32_.assign(values_.begin(), values_.end());
 }
 
-void SkylineCholesky::solve_inplace_fp32(std::span<double> b) const {
+void SkylineCholesky::solve_inplace_fp32(std::span<double> b,
+                                         Scratch& scratch) const {
   DDMGNN_CHECK(b.size() == static_cast<std::size_t>(n_),
                "SkylineCholesky::solve dims");
   DDMGNN_CHECK(!values_f32_.empty(),
                "SkylineCholesky::solve_inplace_fp32: call enable_fp32 first");
   const bool permuted = !perm_.empty();
-  std::vector<float> y(n_);
+  std::vector<float>& y = scratch.y32;
+  y.resize(n_);
   if (permuted) {
     for (Index p = 0; p < n_; ++p) y[p] = static_cast<float>(b[perm_[p]]);
   } else {
     for (Index i = 0; i < n_; ++i) y[i] = static_cast<float>(b[i]);
   }
-  // Same two sweeps as solve_inplace, on the fp32 factor copy.
-  for (Index i = 0; i < n_; ++i) {
-    const float* row_i = &values_f32_[offset_[i]];
-    const Index fi = first_[i];
-    float acc = y[i];
-    for (Index k = fi; k < i; ++k) acc -= row_i[k - fi] * y[k];
-    y[i] = acc / row_i[i - fi];
-  }
-  for (Index i = n_ - 1; i >= 0; --i) {
-    const float* row_i = &values_f32_[offset_[i]];
-    const Index fi = first_[i];
-    const float xi = y[i] / row_i[i - fi];
-    y[i] = xi;
-    for (Index k = fi; k < i; ++k) y[k] -= row_i[k - fi] * xi;
-  }
+  envelope_sweeps(n_, first_, offset_, values_f32_.data(), y.data());
   if (permuted) {
     for (Index p = 0; p < n_; ++p) b[perm_[p]] = static_cast<double>(y[p]);
   } else {

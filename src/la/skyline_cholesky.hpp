@@ -21,9 +21,17 @@ class SkylineCholesky {
   /// permuted with reverse Cuthill–McKee before factorization.
   explicit SkylineCholesky(const CsrMatrix& a, bool use_rcm = true);
 
+  /// Caller-owned sweep buffers: the permuted copy of the right-hand side
+  /// (fp64 or fp32). Sized on first use and reused, so repeated solves
+  /// through one Scratch allocate nothing. One per concurrent caller.
+  struct Scratch {
+    std::vector<double> y;
+    std::vector<float> y32;
+  };
+
   /// Solve A x = b.
   std::vector<double> solve(std::span<const double> b) const;
-  void solve_inplace(std::span<double> b_to_x) const;
+  void solve_inplace(std::span<double> b_to_x, Scratch& scratch) const;
 
   /// Materialize a float copy of the factor for solve_inplace_fp32. The fp64
   /// factor stays authoritative; the fp32 sweeps halve the factor traffic of
@@ -36,7 +44,7 @@ class SkylineCholesky {
   /// enable_fp32). Accepts and returns fp64 with ~1e-7 relative accuracy —
   /// callers must sit inside a flexible outer iteration or behind a
   /// true-residual guard.
-  void solve_inplace_fp32(std::span<double> b_to_x) const;
+  void solve_inplace_fp32(std::span<double> b_to_x, Scratch& scratch) const;
 
   Index size() const { return n_; }
   /// Stored envelope entries (memory/diagnostics).

@@ -16,13 +16,12 @@ constexpr long kRowParallelGrain = 4096;
 /// Rows handed to one worker task.
 constexpr long kRowChunk = 1024;
 
-}  // namespace
-
-/// One block of rows through the outer-product kernel: accumulators live in
-/// the output rows (unit stride, simd-friendly), weights are pre-transposed
-/// to [in × out] so each input scalar broadcasts against a contiguous weight
-/// row. 4-row register blocking amortizes the weight-row loads; per-row
-/// results do not depend on where the block boundaries fall.
+/// One block of rows through the outer-product kernel: y[r,:] = act(x[r,:]·wt
+/// (+ b)) for r in [row0, row1). Accumulators live in the output rows (unit
+/// stride, simd-friendly), weights are pre-transposed to [in × out] so each
+/// input scalar broadcasts against a contiguous weight row. 4-row register
+/// blocking amortizes the weight-row loads; per-row results do not depend on
+/// where the block boundaries fall.
 void fused_gemm_rows(const float* wt, int in, int out, const float* b,
                      bool relu, const Tensor& x, Tensor& y, int row0,
                      int row1) {
@@ -90,6 +89,8 @@ void fused_gemm_rows(const float* wt, int in, int out, const float* b,
     }
   }
 }
+
+}  // namespace
 
 void fused_gemm(const float* w, int ldw, int col0, int out, const float* b,
                 bool relu, const Tensor& x, Tensor& y) {

@@ -34,17 +34,6 @@ namespace ddmgnn::nn {
 void fused_gemm(const float* w, int ldw, int col0, int out, const float* b,
                 bool relu, const Tensor& x, Tensor& y);
 
-/// Serial row-range core of fused_gemm over a pre-transposed [in × out]
-/// weight matrix `wt`: y[r,:] = act(x[r,:]·wt (+ b)) for r in [row0, row1).
-/// Per-row arithmetic order is identical to fused_gemm's, so callers that
-/// transpose once and stream many small row blocks (the fused
-/// layer2+aggregate DSS kernel) produce bitwise the same rows as one big
-/// fused_gemm call. `y` must be pre-sized; rows outside the range are
-/// untouched.
-void fused_gemm_rows(const float* wt, int in, int out, const float* b,
-                     bool relu, const Tensor& x, Tensor& y, int row0,
-                     int row1);
-
 /// Fully-connected layer over a flat parameter store.
 class Linear {
  public:

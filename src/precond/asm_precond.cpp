@@ -1,5 +1,7 @@
 #include "precond/asm_precond.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "obs/metrics.hpp"
@@ -67,27 +69,71 @@ void CholeskySubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
   });
 }
 
+namespace {
+
+/// Per-caller scratch of CholeskySubdomainSolver: one sweep buffer per
+/// OpenMP lane of the caller's solve.
+struct CholeskyWorkspace final : SubdomainSolver::Workspace {
+  std::vector<la::SkylineCholesky::Scratch> lanes;
+};
+
+/// The caller's lanes, at least `team` of them.
+std::vector<la::SkylineCholesky::Scratch>& cholesky_lanes(
+    SubdomainSolver::Workspace* ws, int team) {
+  auto* cws = dynamic_cast<CholeskyWorkspace*>(ws);
+  DDMGNN_CHECK(cws != nullptr,
+               "CholeskySubdomainSolver: solve needs a workspace from this "
+               "solver's make_workspace()");
+  if (static_cast<int>(cws->lanes.size()) < team) cws->lanes.resize(team);
+  return cws->lanes;
+}
+
+}  // namespace
+
+std::unique_ptr<SubdomainSolver::Workspace>
+CholeskySubdomainSolver::make_workspace() const {
+  auto ws = std::make_unique<CholeskyWorkspace>();
+  ws->lanes.resize(static_cast<std::size_t>(std::max(1, num_threads())));
+  return ws;
+}
+
+std::size_t CholeskySubdomainSolver::workspace_bytes() const {
+  Index max_n = 0;
+  for (const auto& f : factors_) max_n = std::max(max_n, f->size());
+  return static_cast<std::size_t>(max_n) * sizeof(double) *
+         static_cast<std::size_t>(std::max(1, num_threads()));
+}
+
 void CholeskySubdomainSolver::solve_all(
     const std::vector<std::vector<double>>& r_loc,
-    std::vector<std::vector<double>>& z_loc, Workspace*) const {
+    std::vector<std::vector<double>>& z_loc, Workspace* ws) const {
   DDMGNN_CHECK(r_loc.size() == factors_.size(), "solve_all: batch size");
-  parallel_for_dynamic(static_cast<long>(r_loc.size()), [&](long i) {
-    z_loc[i] = factors_[i]->solve(r_loc[i]);
-  });
+  // Read the thread count once, so the team never outgrows the lanes.
+  const int team = std::max(1, num_threads());
+  auto& lanes = cholesky_lanes(ws, team);
+#pragma omp parallel for schedule(dynamic, 1) num_threads(team)
+  for (long i = 0; i < static_cast<long>(r_loc.size()); ++i) {
+    z_loc[i].assign(r_loc[i].begin(), r_loc[i].end());
+    factors_[i]->solve_inplace(z_loc[i], lanes[omp_get_thread_num()]);
+  }
 }
 
 void CholeskySubdomainSolver::solve_all_block(
     const std::vector<la::MultiVector>& r_loc,
-    std::vector<la::MultiVector>& z_loc, Workspace*) const {
+    std::vector<la::MultiVector>& z_loc, Workspace* ws) const {
   DDMGNN_CHECK(r_loc.size() == factors_.size(), "solve_all_block: batch size");
-  parallel_for_dynamic(static_cast<long>(r_loc.size()), [&](long i) {
+  const int team = std::max(1, num_threads());
+  auto& lanes = cholesky_lanes(ws, team);
+#pragma omp parallel for schedule(dynamic, 1) num_threads(team)
+  for (long i = 0; i < static_cast<long>(r_loc.size()); ++i) {
     const la::MultiVector& r = r_loc[i];
     la::MultiVector& z = z_loc[i];
+    la::SkylineCholesky::Scratch& scratch = lanes[omp_get_thread_num()];
     for (Index j = 0; j < r.cols(); ++j) {
       la::copy(r.col(j), z.col(j));
-      factors_[i]->solve_inplace(z.col(j));
+      factors_[i]->solve_inplace(z.col(j), scratch);
     }
-  });
+  }
 }
 
 struct AdditiveSchwarz::Scratch final : ApplyWorkspace {

@@ -71,12 +71,15 @@ class SubdomainSolver {
 };
 
 /// Exact local solves via RCM-ordered skyline Cholesky (factored in parallel).
-/// The factors are read-only at solve time and the sweeps work in the
-/// caller's output buffers, so no workspace is needed.
+/// The factors are read-only at solve time; the sweeps work in the caller's
+/// output buffers, and each OpenMP lane keeps its permuted copy in the
+/// caller's workspace.
 class CholeskySubdomainSolver final : public SubdomainSolver {
  public:
   void setup(std::vector<la::CsrMatrix> local_matrices,
              const partition::Decomposition& dec) override;
+  std::unique_ptr<Workspace> make_workspace() const override;
+  std::size_t workspace_bytes() const override;
   void solve_all(const std::vector<std::vector<double>>& r_loc,
                  std::vector<std::vector<double>>& z_loc,
                  Workspace* ws) const override;

@@ -5,6 +5,9 @@
 //   - segmented aggregation vs serial scatter, required BITWISE equal at
 //     any thread count (the receiver-CSR index preserves per-destination
 //     accumulation order),
+//   - the aggregate-then-project message kernel vs the three-step oracle
+//     (gather → layer-2 GEMM over every edge → segmented aggregate), with a
+//     nonzero layer-2 bias and receivers that get no messages,
 //   - factorized forward vs reference forward within 1e-4 relative on
 //     random graphs across latent/hidden sizes, cached and cache-less
 //     (which must agree bit-for-bit with each other),
@@ -169,6 +172,80 @@ TEST(Aggregation, SegmentedBitwiseEqualsSerialScatterAtAnyThreadCount) {
   }
 }
 
+TEST(FusedLayer2Aggregate, MatchesThreeStepOracleWithBiasAndIsolatedReceivers) {
+  ThreadGuard guard;
+  struct Shape {
+    int hidden, out;
+  };
+  // hidden = 20 spans two of the kernel's stack-held hidden chunks.
+  for (const Shape shape : {Shape{10, 10}, {20, 7}}) {
+    for (const Index n : {13, 257, 3000}) {
+      const auto s = random_sample(n, 500 + n, 3);
+      const auto& topo = *s.topo;
+      // Dirichlet nodes receive no messages: their φ is exactly zero, with
+      // no bias term (deg = 0).
+      ASSERT_TRUE(topo.dirichlet[0]);
+      ASSERT_EQ(topo.recv_ptr[0], topo.recv_ptr[1]);
+
+      Rng rng(13 + n);
+      nn::Tensor p_recv(n, shape.hidden), p_send(n, shape.hidden);
+      nn::Tensor attr(topo.num_edges(), shape.hidden);
+      for (nn::Tensor* t : {&p_recv, &p_send, &attr}) {
+        for (auto& v : t->d) v = static_cast<float>(rng.uniform(-1, 1));
+      }
+      nn::ParameterStore ps;
+      nn::Linear l2(ps, shape.hidden, shape.out);
+      ps.finalize();
+      l2.init_xavier(ps.values(), rng);
+      // A bias well above the weights' scale, so a missing or misplaced
+      // deg_j·b₂ term cannot hide inside the tolerance.
+      float* b2 = const_cast<float*>(l2.bias(ps.data()));  // ps owns it
+      for (int o = 0; o < shape.out; ++o) {
+        b2[o] = static_cast<float>(rng.uniform(1, 3)) * (o % 2 ? -1.0f : 1.0f);
+      }
+
+      nn::Tensor e_act, m_edge, ref;
+      gnn::gather_edge_preact(topo, p_recv, p_send, attr, e_act);
+      l2.forward_fused(ps.data(), e_act, m_edge);
+      gnn::aggregate_segmented(topo, m_edge, ref);
+
+      // The forked run goes first, so rows a worker left out of the
+      // caller's scratch cannot be masked by an earlier serial run.
+      nn::Tensor fused1, fused4;
+      set_num_threads(4);
+      gnn::fused_layer2_aggregate(topo, p_recv, p_send, attr,
+                                  l2.weights(ps.data()), l2.bias(ps.data()),
+                                  shape.out, fused4);
+      set_num_threads(1);
+      gnn::fused_layer2_aggregate(topo, p_recv, p_send, attr,
+                                  l2.weights(ps.data()), l2.bias(ps.data()),
+                                  shape.out, fused1);
+      set_num_threads(0);
+
+      ASSERT_EQ(fused1.rows, n);
+      ASSERT_EQ(fused1.cols, shape.out);
+      ASSERT_EQ(fused1.size(), ref.size());
+      float max_abs = 0.0f;
+      for (const float v : ref.d) max_abs = std::max(max_abs, std::abs(v));
+      for (Index j = 0; j < n; ++j) {
+        const bool isolated = topo.recv_ptr[j] == topo.recv_ptr[j + 1];
+        for (int o = 0; o < shape.out; ++o) {
+          if (isolated) {
+            EXPECT_EQ(fused1.at(j, o), 0.0f) << "n=" << n << " j=" << j;
+          }
+          EXPECT_NEAR(fused1.at(j, o), ref.at(j, o), 1e-5f * max_abs)
+              << "h=" << shape.hidden << " n=" << n << " j=" << j
+              << " o=" << o;
+        }
+      }
+      EXPECT_EQ(std::memcmp(fused4.d.data(), fused1.d.data(),
+                            fused1.size() * sizeof(float)),
+                0)
+          << "n=" << n;
+    }
+  }
+}
+
 TEST(ReceiverCsr, IsAStablePermutationOfTheEdgeList) {
   const auto s = random_sample(120, 9, 4);
   const auto& topo = *s.topo;
@@ -235,26 +312,19 @@ TEST(FastForward, ProfileAccumulatesIntoAllPhases) {
   cfg.iterations = 4;
   cfg.latent = 8;
   cfg.hidden = 8;
-  // The three-step path fills all five phases; the fused layer2+aggregate
-  // kernel folds gather + layer-2 GEMM into the aggregate slot.
-  cfg.fused_aggregate = false;
   gnn::DssModel model(cfg, 5);
   gnn::DssWorkspace ws;
   std::vector<float> out;
   gnn::DssPhaseProfile prof;
   for (int r = 0; r < 3; ++r) model.forward(s, nullptr, ws, out, &prof);
   EXPECT_GT(prof.projection, 0.0);
-  EXPECT_GT(prof.gather, 0.0);
+  // The gather runs inside fused_layer2_aggregate and is booked on the
+  // aggregate slot.
+  EXPECT_EQ(prof.gather, 0.0);
   EXPECT_GT(prof.aggregate, 0.0);
   EXPECT_GT(prof.update, 0.0);
   EXPECT_GT(prof.decode, 0.0);
   EXPECT_GT(prof.total(), 0.0);
-
-  model.set_fused_aggregate(true);
-  gnn::DssPhaseProfile fused;
-  for (int r = 0; r < 3; ++r) model.forward(s, nullptr, ws, out, &fused);
-  EXPECT_GT(fused.aggregate, 0.0);
-  EXPECT_EQ(fused.gather, 0.0);
 }
 
 TEST(FastForward, SolverIterationCountsMatchReferenceForAllGnnEntries) {
