@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <mutex>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -35,31 +34,17 @@ inline void timed_forward(const gnn::DssModel& model,
   gnn::record_phase_profile(prof, t0, obs::TraceRecorder::instance().now_ns());
 }
 
-/// Per-caller inference scratch. One Lane per OpenMP thread of the caller's
-/// solve: the lanes are touched only inside this caller's parallel region,
-/// so two clients hammering the same solver never share a DssWorkspace (the
-/// former `static thread_local` did — across ALL solver instances — and was
-/// both a data race on concurrent sessions and an unaccounted leak).
+/// One lane of inference scratch, touched only by the OpenMP thread it was
+/// handed to for the duration of one apply: two clients hammering the same
+/// solver never share a DssWorkspace (the former `static thread_local` did —
+/// across ALL solver instances — and was both a data race on concurrent
+/// sessions and an unaccounted leak).
 struct GnnWorkspace final : precond::SubdomainSolver::Workspace {
-  struct Lane {
-    gnn::DssWorkspace dss;
-    gnn::GraphSample sample;          // topo rebound per shard, rhs owned here
-    std::vector<float> out;
-    std::vector<double> scale;
-    std::vector<double> residual;     // solve_all: current local residual
-    std::vector<std::vector<double>> res;  // solve_all_block: per task
-    la::SkylineCholesky::Scratch chol;     // fallback sweeps
-  };
-  std::vector<Lane> lanes;
-
-  Lane& lane(int thread) {
-    return lanes[static_cast<std::size_t>(thread)];
-  }
-  void ensure_lanes(int count) {
-    if (static_cast<int>(lanes.size()) < count) {
-      lanes.resize(static_cast<std::size_t>(count));
-    }
-  }
+  gnn::DssWorkspace dss;
+  gnn::GraphSample sample;       // topo rebound per solve, rhs owned here
+  std::vector<float> out;
+  std::vector<double> residual;  // current local residual
+  la::SkylineCholesky::Scratch chol;  // fallback sweeps
 };
 
 GnnWorkspace& workspace_of(precond::SubdomainSolver::Workspace* ws) {
@@ -68,22 +53,6 @@ GnnWorkspace& workspace_of(precond::SubdomainSolver::Workspace* ws) {
                "GnnSubdomainSolver: solve needs a workspace from this "
                "solver's make_workspace()");
   return *gws;
-}
-
-/// Merged-node budget per inference shard. Bounds the forward workspace
-/// while still fusing several local problems into one DSS call; shard count
-/// never drops below the thread count, so the batched path keeps every core
-/// busy.
-constexpr la::Index kShardNodeBudget = 4096;
-
-std::size_t topology_bytes(const gnn::GraphTopology& t) {
-  return static_cast<std::size_t>(t.num_edges()) *
-             (2 * sizeof(la::Index) + 3 * sizeof(float) + sizeof(la::Index)) +
-         static_cast<std::size_t>(t.n + 1) * sizeof(la::Offset) +
-         static_cast<std::size_t>(t.n) * sizeof(std::uint8_t) +
-         static_cast<std::size_t>(t.a_local.nnz()) *
-             (sizeof(la::Index) + sizeof(double)) +
-         static_cast<std::size_t>(t.a_local.rows() + 1) * sizeof(la::Offset);
 }
 
 }  // namespace
@@ -116,10 +85,6 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
                                const partition::Decomposition& dec) {
   DDMGNN_CHECK(dec.num_nodes() == static_cast<la::Index>(coords_.size()),
                "GnnSubdomainSolver: geometry size mismatch");
-  {
-    std::unique_lock lock(plans_mutex_);
-    plans_.clear();
-  }
   const auto k = static_cast<la::Index>(local_matrices.size());
   topologies_.resize(k);
   edge_caches_.assign(k, nullptr);
@@ -282,309 +247,63 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
 
 std::unique_ptr<precond::SubdomainSolver::Workspace>
 GnnSubdomainSolver::make_workspace() const {
-  auto ws = std::make_unique<GnnWorkspace>();
-  ws->ensure_lanes(std::max(1, num_threads()));
-  return ws;
+  return std::make_unique<GnnWorkspace>();
 }
 
 std::size_t GnnSubdomainSolver::workspace_bytes() const {
-  // Coarse steady-state estimate of one caller's warmed-up lanes: the fast
-  // DSS forward buffers are per-node latent/projection tensors (its per-edge
-  // terms live in the setup-time edge caches); every lane ends up sized to
-  // the largest shard (≈ the merged node budget) it has processed.
+  // Coarse steady-state estimate of one warmed-up lane, sized to the largest
+  // subdomain: the fast DSS forward buffers are per-node latent/projection
+  // tensors (its per-edge terms live in the setup-time edge caches), plus
+  // the residual and fallback sweep buffers.
   long max_nodes = 0;
   for (const auto& t : topologies_) max_nodes = std::max<long>(max_nodes, t->n);
-  if (max_nodes == 0) return 0;
-  const long shard_nodes = std::max<long>(max_nodes, kShardNodeBudget);
   const auto& cfg = model_->config();
-  const std::size_t per_lane =
-      static_cast<std::size_t>(shard_nodes) *
-          (4 * cfg.latent + 2 * cfg.hidden + cfg.update_input_dim() + 2) *
-          sizeof(float) +
-      static_cast<std::size_t>(shard_nodes) * 2 * sizeof(double);
-  return per_lane * static_cast<std::size_t>(std::max(1, num_threads()));
+  return static_cast<std::size_t>(max_nodes) *
+         ((4 * cfg.latent + 2 * cfg.hidden + cfg.update_input_dim() + 2) *
+              sizeof(float) +
+          2 * sizeof(double));
 }
 
-void GnnSubdomainSolver::solve_all(
-    const std::vector<std::vector<double>>& r_loc,
-    std::vector<std::vector<double>>& z_loc, Workspace* ws) const {
-  DDMGNN_CHECK(r_loc.size() == topologies_.size(),
-               "GnnSubdomainSolver: batch size mismatch");
-  GnnWorkspace& gws = workspace_of(ws);
-  // Read the thread count once: a concurrent set_num_threads() between
-  // sizing the lanes and forking the team must not leave the team wider
-  // than the lane array.
-  const int team = std::max(1, num_threads());
-  gws.ensure_lanes(team);
-#pragma omp parallel for schedule(dynamic, 1) num_threads(team)
-  for (long i = 0; i < static_cast<long>(r_loc.size()); ++i) {
-    GnnWorkspace::Lane& lane = gws.lane(omp_get_thread_num());
-    const auto& topo = topologies_[i];
-    const auto& r = r_loc[i];
-    auto& z = z_loc[i];
-    const std::size_t n = r.size();
-    if (!fallback_.empty() && fallback_[i] != nullptr) {
-      // Non-contractive subdomain: exact local solve (adaptive setup).
-      z.assign(r.begin(), r.end());
-      if (options_.fp32_fallback) {
-        fallback_[i]->solve_inplace_fp32(z, lane.chol);
-      } else {
-        fallback_[i]->solve_inplace(z, lane.chol);
-      }
-      continue;
+void GnnSubdomainSolver::solve(la::Index i, std::span<const double> r,
+                               std::span<double> z, Workspace* ws) const {
+  GnnWorkspace& lane = workspace_of(ws);
+  if (!fallback_.empty() && fallback_[i] != nullptr) {
+    // Non-contractive subdomain: exact local solve (adaptive setup).
+    std::copy(r.begin(), r.end(), z.begin());
+    if (options_.fp32_fallback) {
+      fallback_[i]->solve_inplace_fp32(z, lane.chol);
+    } else {
+      fallback_[i]->solve_inplace(z, lane.chol);
     }
-    const int steps =
-        refine_steps_.empty() ? options_.refinement_steps : refine_steps_[i];
-    z.assign(n, 0.0);
-    gnn::GraphSample& sample = lane.sample;
-    sample.topo = topo;
-    sample.rhs.resize(n);
-    std::vector<float>& out = lane.out;
-    std::vector<double>& res = lane.residual;  // current local residual
-    res.assign(r.begin(), r.end());
-    for (int pass = 0; pass <= steps; ++pass) {
-      const double norm = la::norm2(res);
-      if (norm <= options_.zero_threshold) break;
-      const double inv = options_.normalize_input ? 1.0 / norm : 1.0;
-      for (std::size_t j = 0; j < n; ++j) sample.rhs[j] = res[j] * inv;
-      timed_forward(*model_, sample, edge_caches_[i].get(), lane.dss, out);
-      const double scale = options_.normalize_input ? norm : 1.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        z[j] += scale * static_cast<double>(out[j]);
-      }
-      if (pass == steps) break;
-      // res = r − A_i z for the next correction pass.
-      topo->a_local.multiply(z, res);
-      for (std::size_t j = 0; j < n; ++j) res[j] = r[j] - res[j];
-    }
-    sample.topo.reset();  // drop the shared ref; the rhs buffer stays warm
+    return;
   }
-}
-
-namespace {
-
-/// Shard plans retained per solver. Deflation walks the column count down
-/// during a solve and repeated solve_many calls revisit the same counts, so
-/// a handful of plans covers steady-state serving; each plan holds merged
-/// topology copies, so the cache is deliberately small.
-constexpr std::size_t kMaxShardPlans = 6;
-
-}  // namespace
-
-GnnSubdomainSolver::ShardPlan GnnSubdomainSolver::build_shards(
-    la::Index s) const {
-  const auto k = static_cast<la::Index>(topologies_.size());
-  // Fallback subdomains (adaptive setup) are served by their Cholesky factor
-  // outside the merged shards.
-  auto sharded = [&](la::Index i) {
-    return fallback_.empty() || fallback_[i] == nullptr;
-  };
-  long total_nodes = 0;
-  la::Index sharded_parts = 0;
-  for (la::Index i = 0; i < k; ++i) {
-    if (!sharded(i)) continue;
-    total_nodes += topologies_[i]->n;
-    ++sharded_parts;
+  const auto& topo = topologies_[i];
+  const std::size_t n = r.size();
+  const int steps =
+      refine_steps_.empty() ? options_.refinement_steps : refine_steps_[i];
+  std::fill(z.begin(), z.end(), 0.0);
+  gnn::GraphSample& sample = lane.sample;
+  sample.topo = topo;
+  sample.rhs.resize(n);
+  std::vector<float>& out = lane.out;
+  std::vector<double>& res = lane.residual;  // current local residual
+  res.assign(r.begin(), r.end());
+  for (int pass = 0; pass <= steps; ++pass) {
+    const double norm = la::norm2(res);
+    if (norm <= options_.zero_threshold) break;
+    const double inv = options_.normalize_input ? 1.0 / norm : 1.0;
+    for (std::size_t j = 0; j < n; ++j) sample.rhs[j] = res[j] * inv;
+    timed_forward(*model_, sample, edge_caches_[i].get(), lane.dss, out);
+    const double scale = options_.normalize_input ? norm : 1.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      z[j] += scale * static_cast<double>(out[j]);
+    }
+    if (pass == steps) break;
+    // res = r − A_i z for the next correction pass.
+    topo->a_local.multiply(z, res);
+    for (std::size_t j = 0; j < n; ++j) res[j] = r[j] - res[j];
   }
-  total_nodes *= s;
-  const long ntasks = static_cast<long>(sharded_parts) * s;
-  if (ntasks == 0) return ShardPlan{};
-  const long by_budget = (total_nodes + kShardNodeBudget - 1) /
-                         kShardNodeBudget;
-  const long nshards =
-      std::max<long>(1, std::min(ntasks,
-                                 std::max<long>(by_budget, num_threads())));
-  const long node_target = (total_nodes + nshards - 1) / nshards;
-
-  ShardPlan plan;
-  plan.shards.reserve(nshards);
-  // Column-major task order so one shard holds whole subdomain groups of a
-  // column before moving on; packing closes a shard at the node target.
-  std::vector<ShardTask> tasks;
-  long shard_nodes = 0;
-  auto flush = [&]() {
-    if (tasks.empty()) return;
-    Shard shard;
-    shard.tasks = std::move(tasks);
-    std::vector<gnn::GraphSample> samples(shard.tasks.size());
-    for (std::size_t t = 0; t < shard.tasks.size(); ++t) {
-      samples[t].topo = topologies_[shard.tasks[t].part];
-      samples[t].rhs.assign(samples[t].topo->n, 0.0);
-      shard.tasks[t].slot = static_cast<la::Index>(t);
-    }
-    shard.batch = gnn::batch_samples(samples);
-    plan.bytes += topology_bytes(*shard.batch.merged.topo) +
-                  shard.batch.merged.rhs.size() * sizeof(double);
-    if (model_->config().fast_inference) {
-      shard.cache = std::make_shared<const gnn::DssEdgeCache>(
-          model_->precompute_edges(*shard.batch.merged.topo));
-      plan.bytes += shard.cache->bytes();
-    }
-    plan.shards.push_back(std::move(shard));
-    tasks.clear();
-    shard_nodes = 0;
-  };
-  for (la::Index j = 0; j < s; ++j) {
-    for (la::Index i = 0; i < k; ++i) {
-      if (!sharded(i)) continue;
-      if (shard_nodes > 0 && shard_nodes + topologies_[i]->n > node_target) {
-        flush();
-      }
-      tasks.push_back(ShardTask{i, j, 0});
-      shard_nodes += topologies_[i]->n;
-    }
-  }
-  flush();
-  return plan;
-}
-
-std::shared_ptr<const GnnSubdomainSolver::ShardPlan>
-GnnSubdomainSolver::plan_for(la::Index s) const {
-  {
-    std::shared_lock lock(plans_mutex_);
-    for (const auto& [cols, plan] : plans_) {
-      if (cols == s) return plan;
-    }
-  }
-  std::unique_lock lock(plans_mutex_);
-  for (const auto& [cols, plan] : plans_) {  // lost the build race?
-    if (cols == s) return plan;
-  }
-  // Building under the writer lock serializes plan construction (stampede
-  // safety: concurrent first-comers at one column count pay one build); the
-  // read path above stays contention-free for warmed-up column counts.
-  auto plan = std::make_shared<const ShardPlan>(build_shards(s));
-  plans_.emplace_back(s, plan);
-  if (plans_.size() > kMaxShardPlans) {
-    // Evict the smallest column count EXCLUDING the plan just inserted —
-    // small merges are the cheapest to rebuild, but evicting the newcomer
-    // itself would make every iteration at its width a miss+rebuild.
-    const auto smallest = std::min_element(
-        plans_.begin(), plans_.end() - 1,
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    plans_.erase(smallest);  // in-flight users hold their shared_ptr
-  }
-  return plan;
-}
-
-std::size_t GnnSubdomainSolver::plan_cache_bytes() const {
-  std::shared_lock lock(plans_mutex_);
-  std::size_t bytes = 0;
-  for (const auto& [cols, plan] : plans_) bytes += plan->bytes;
-  return bytes;
-}
-
-void GnnSubdomainSolver::solve_all_block(
-    const std::vector<la::MultiVector>& r_loc,
-    std::vector<la::MultiVector>& z_loc, Workspace* ws) const {
-  DDMGNN_CHECK(r_loc.size() == topologies_.size(),
-               "GnnSubdomainSolver: block batch size mismatch");
-  if (r_loc.empty()) return;
-  GnnWorkspace& gws = workspace_of(ws);
-  const int team = std::max(1, num_threads());  // once — see solve_all
-  gws.ensure_lanes(team);
-  const la::Index s = r_loc[0].cols();
-  const std::shared_ptr<const ShardPlan> plan = plan_for(s);
-  for (auto& z : z_loc) z.fill(0.0);
-
-#pragma omp parallel for schedule(dynamic, 1) num_threads(team)
-  for (long sh = 0; sh < static_cast<long>(plan->shards.size()); ++sh) {
-    const Shard& shard = plan->shards[sh];
-    GnnWorkspace::Lane& lane = gws.lane(omp_get_thread_num());
-    const std::size_t nt = shard.tasks.size();
-    // The shard's merged sample is shared read-only; the rhs channel of this
-    // application lives in the lane (rebound topo + workspace-owned buffer).
-    gnn::GraphSample& merged = lane.sample;
-    merged.topo = shard.batch.merged.topo;
-    merged.rhs.resize(shard.batch.merged.rhs.size());
-    std::vector<float>& out = lane.out;
-    lane.scale.assign(nt, 0.0);
-    std::vector<double>& rhs = merged.rhs;
-    // Adaptive setup gives every subdomain its own pass count; the shard
-    // iterates to the largest one and tasks that are done contribute a zero
-    // slice (and a zero scale), exactly like the below-threshold case.
-    auto steps_for = [&](la::Index part) {
-      return refine_steps_.empty() ? options_.refinement_steps
-                                   : refine_steps_[part];
-    };
-    int shard_steps = 0;
-    for (const ShardTask& task : shard.tasks) {
-      shard_steps = std::max(shard_steps, steps_for(task.part));
-    }
-    if (shard_steps > 0) {
-      lane.res.resize(nt);
-    }
-    for (int pass = 0; pass <= shard_steps; ++pass) {
-      for (std::size_t t = 0; t < nt; ++t) {
-        const ShardTask& task = shard.tasks[t];
-        const la::Index n = topologies_[task.part]->n;
-        const la::Index off = shard.batch.offsets[task.slot];
-        if (pass > steps_for(task.part)) {
-          lane.scale[t] = 0.0;
-          std::fill(rhs.begin() + off, rhs.begin() + off + n, 0.0);
-          continue;
-        }
-        const std::span<const double> cur =
-            pass == 0 ? r_loc[task.part].col(task.column)
-                      : std::span<const double>(lane.res[t]);
-        const double norm = la::norm2(cur);
-        if (norm <= options_.zero_threshold) {
-          // Below threshold the scalar path stops refining this task; a zero
-          // rhs slice (and zero scale) contributes exactly nothing here.
-          lane.scale[t] = 0.0;
-          std::fill(rhs.begin() + off, rhs.begin() + off + n, 0.0);
-          continue;
-        }
-        const double inv = options_.normalize_input ? 1.0 / norm : 1.0;
-        for (la::Index l = 0; l < n; ++l) rhs[off + l] = cur[l] * inv;
-        lane.scale[t] = options_.normalize_input ? norm : 1.0;
-      }
-      timed_forward(*model_, merged, shard.cache.get(), lane.dss, out);
-      for (std::size_t t = 0; t < nt; ++t) {
-        const ShardTask& task = shard.tasks[t];
-        const la::Index n = topologies_[task.part]->n;
-        const la::Index off = shard.batch.offsets[task.slot];
-        auto z = z_loc[task.part].col(task.column);
-        for (la::Index l = 0; l < n; ++l) {
-          z[l] += lane.scale[t] * static_cast<double>(out[off + l]);
-        }
-      }
-      if (pass == shard_steps) break;
-      for (std::size_t t = 0; t < nt; ++t) {
-        const ShardTask& task = shard.tasks[t];
-        if (pass >= steps_for(task.part)) continue;
-        const auto& topo = topologies_[task.part];
-        lane.res[t].resize(topo->n);
-        topo->a_local.multiply(z_loc[task.part].col(task.column), lane.res[t]);
-        const auto r = r_loc[task.part].col(task.column);
-        for (la::Index l = 0; l < topo->n; ++l) {
-          lane.res[t][l] = r[l] - lane.res[t][l];
-        }
-      }
-    }
-    merged.topo.reset();
-  }
-
-  if (fallback_count_ > 0) {
-    // Exact-local-solve subdomains (adaptive setup) run outside the merged
-    // shards: per (subdomain, column), copy the residual and sweep.
-    const long ntasks = static_cast<long>(fallback_.size()) * s;
-#pragma omp parallel for schedule(dynamic, 1) num_threads(team)
-    for (long t = 0; t < ntasks; ++t) {
-      const auto part = static_cast<la::Index>(t / s);
-      if (fallback_[part] == nullptr) continue;
-      const auto col = static_cast<la::Index>(t % s);
-      auto z = z_loc[part].col(col);
-      const auto r = r_loc[part].col(col);
-      for (std::size_t l = 0; l < z.size(); ++l) z[l] = r[l];
-      la::SkylineCholesky::Scratch& chol = gws.lane(omp_get_thread_num()).chol;
-      if (options_.fp32_fallback) {
-        fallback_[part]->solve_inplace_fp32(z, chol);
-      } else {
-        fallback_[part]->solve_inplace(z, chol);
-      }
-    }
-  }
+  sample.topo.reset();  // drop the shared ref; the rhs buffer stays warm
 }
 
 }  // namespace ddmgnn::core

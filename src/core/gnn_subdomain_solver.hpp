@@ -10,20 +10,17 @@
 // converges, r → 0, and an un-normalized GNN would collapse to the zero
 // correction, stalling the solver. The ablation bench switches it off.
 //
-// All subdomains are solved concurrently (OpenMP over graphs — the CPU
-// analogue of the paper's batched GPU inference), and a set-up solver is
-// additionally safe for many *client* threads at once: inference scratch
-// lives in the caller-owned Workspace (one DssWorkspace per OpenMP lane per
-// caller — never shared across solver instances or client threads), and the
-// merged-shard plans of the block path are immutable after construction,
-// published through a shared-mutex cache keyed by column count.
+// AdditiveSchwarz solves all subdomains (and, for a block apply, all
+// columns) concurrently — OpenMP over graphs, the CPU analogue of the
+// paper's batched GPU inference. A set-up solver is immutable and safe for
+// many *client* threads at once: inference scratch lives in the caller-owned
+// lane Workspace (one DssWorkspace per OpenMP lane per caller — never shared
+// across solver instances or client threads).
 #pragma once
 
 #include <memory>
-#include <shared_mutex>
 #include <vector>
 
-#include "gnn/batch.hpp"
 #include "gnn/dss_model.hpp"
 #include "gnn/graph.hpp"
 #include "la/skyline_cholesky.hpp"
@@ -99,27 +96,17 @@ class GnnSubdomainSolver final : public precond::SubdomainSolver {
   void setup(std::vector<la::CsrMatrix> local_matrices,
              const partition::Decomposition& dec) override;
 
-  /// Per-caller scratch: one DssWorkspace (plus merged-rhs/output buffers)
-  /// per OpenMP lane of this caller's solve. Replaces the former
+  /// One lane's scratch: a DssWorkspace plus the rhs/output/residual
+  /// buffers and the fallback sweep buffer. Replaces the former
   /// function-local `static thread_local` workspaces, which were shared by
   /// every solver instance on a thread and never freed.
   std::unique_ptr<Workspace> make_workspace() const override;
   std::size_t workspace_bytes() const override;
 
-  void solve_all(const std::vector<std::vector<double>>& r_loc,
-                 std::vector<std::vector<double>>& z_loc,
-                 Workspace* ws) const override;
-  /// Multi-RHS form (paper Eq. 14 across BOTH axes): the K×s local problems
-  /// of one block-preconditioner application are merged — disjoint-union
-  /// batching via gnn::batch_samples — into a small number of DSS inferences
-  /// (shards, sized by a node budget and the thread count). Merged
-  /// topologies are cached per column count and shared read-only across
-  /// concurrent callers; the rhs channel is written into workspace-owned
-  /// buffers. Per (subdomain, column) task the normalization / refinement
-  /// semantics match solve_all bit-for-bit.
-  void solve_all_block(const std::vector<la::MultiVector>& r_loc,
-                       std::vector<la::MultiVector>& z_loc,
-                       Workspace* ws) const override;
+  /// Subdomain i's local solve (steps 1–3 above, plus the refinement passes)
+  /// or, for an adaptive-setup fallback subdomain, its exact sweeps.
+  void solve(la::Index i, std::span<const double> r, std::span<double> z,
+             Workspace* ws) const override;
   std::string name() const override { return "gnn"; }
   /// A neural local solve is not a symmetric linear map.
   bool is_symmetric() const override { return false; }
@@ -134,11 +121,6 @@ class GnnSubdomainSolver final : public precond::SubdomainSolver {
       const {
     return edge_caches_;
   }
-  /// Bytes retained beyond the topologies/edge caches: the currently cached
-  /// merged-shard plans of the block path (SolverSession::memory_bytes adds
-  /// this so the SessionCache byte budget tracks what the solver holds).
-  std::size_t plan_cache_bytes() const;
-
   /// Adaptive-setup outcome. refinement_schedule()[i] is subdomain i's chosen
   /// pass count (ignore entries with a fallback); empty when
   /// adaptive_refinement is off. fallback_count() is the number of
@@ -147,34 +129,6 @@ class GnnSubdomainSolver final : public precond::SubdomainSolver {
   la::Index fallback_count() const { return fallback_count_; }
 
  private:
-  struct ShardTask {
-    la::Index part;    // subdomain index
-    la::Index column;  // RHS column index
-    la::Index slot;    // position inside the shard's merged sample
-  };
-  /// Immutable after construction: the merged sample's rhs channel is a
-  /// zero-filled template that solve_all_block never writes (per-call rhs
-  /// lives in the caller's workspace).
-  struct Shard {
-    std::vector<ShardTask> tasks;
-    gnn::BatchedSample batch;
-    std::shared_ptr<const gnn::DssEdgeCache> cache;  // merged attr projections
-  };
-  struct ShardPlan {
-    std::vector<Shard> shards;
-    std::size_t bytes = 0;  // rough retained footprint of the merged copies
-  };
-
-  /// Fetch (or build, under the writer lock) the shard plan for `s` RHS
-  /// columns. Plans are immutable once published; concurrent solves at the
-  /// same column count share one plan read-only, and a returned shared_ptr
-  /// keeps a plan alive across eviction. The cache holds a handful of column
-  /// counts (deflation shrinks s during a solve; repeated solve_many calls
-  /// revisit the same counts) — beyond the cap the smallest-column plan is
-  /// dropped, since small merges are the cheapest to rebuild.
-  std::shared_ptr<const ShardPlan> plan_for(la::Index s) const;
-  ShardPlan build_shards(la::Index s) const;
-
   const gnn::DssModel* model_;
   std::vector<mesh::Point2> coords_;
   std::vector<std::uint8_t> dirichlet_;
@@ -189,9 +143,6 @@ class GnnSubdomainSolver final : public precond::SubdomainSolver {
   std::vector<int> refine_steps_;
   std::vector<std::unique_ptr<la::SkylineCholesky>> fallback_;
   la::Index fallback_count_ = 0;
-  mutable std::shared_mutex plans_mutex_;
-  mutable std::vector<std::pair<la::Index, std::shared_ptr<const ShardPlan>>>
-      plans_;  // guarded by plans_mutex_
 };
 
 }  // namespace ddmgnn::core

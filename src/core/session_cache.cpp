@@ -73,7 +73,6 @@ std::uint64_t fingerprint_of(const la::CsrMatrix& A, const HybridConfig& cfg,
   h = hash_pod(cfg.mg_smooth_steps, h);
   h = hash_pod(cfg.seed, h);
   h = hash_pod(cfg.track_history, h);
-  h = hash_pod(cfg.block_multi_rhs, h);
   return h;
 }
 
@@ -102,8 +101,7 @@ bool configs_equal(const HybridConfig& a, const HybridConfig& b) {
          a.precond_fp32 == b.precond_fp32 && a.mg_levels == b.mg_levels &&
          a.mg_cycle == b.mg_cycle && a.mg_smoother == b.mg_smoother &&
          a.mg_smooth_steps == b.mg_smooth_steps && a.seed == b.seed &&
-         a.track_history == b.track_history &&
-         a.block_multi_rhs == b.block_multi_rhs;
+         a.track_history == b.track_history;
 }
 
 }  // namespace
@@ -123,6 +121,8 @@ struct SessionCache::Entry {
   std::vector<la::Index> graph_idx;
   HybridConfig cfg;
   SolverSession session;
+  /// measure(), taken once when setup finishes (written inside setup_once,
+  /// so every caller past call_once sees it).
   std::size_t bytes = 0;
   /// Stampede collapse: the one setup for this key runs inside this flag;
   /// concurrent callers block here until the session is prepared.
@@ -162,6 +162,9 @@ void SessionCache::run_setup(Entry& e) {
   // Further setup() on this shared session would re-key it out from under
   // the fingerprint index (and every concurrent holder).
   e.session.lock_setup();
+  // Nothing in a prepared session grows after setup, so one measurement
+  // covers the entry's lifetime.
+  e.bytes = e.measure();
   e.ready.store(true, std::memory_order_release);
 }
 
@@ -260,28 +263,16 @@ std::shared_ptr<SolverSession> SessionCache::lookup_or_insert(
     throw;
   }
 
-  // Re-measure on every touch: first touch accounts the freshly prepared
-  // state, later hits fold in growth the session accrued since (the GNN
-  // block path builds merged-shard plans lazily per column count — the
-  // budget must see them, or a ddm-gnn cache would silently exceed its
-  // configured bytes). The measurement walks session state, so it runs
-  // BEFORE taking the shard lock — concurrent hits on one shard must not
-  // serialize behind it — and is folded in only while the entry is still
-  // published in the shard (an entry removed mid-flight leaks nothing).
-  const std::size_t now = entry->measure();
+  // The first touch after setup folds the entry's bytes into the total —
+  // only while the entry is still published in the shard (an entry removed
+  // mid-flight leaks nothing).
   {
     std::lock_guard lock(shard.mutex);
-    const auto it = std::find(shard.entries.begin(), shard.entries.end(),
-                              entry);
-    if (it != shard.entries.end()) {
-      if (!entry->accounted) {
-        entry->accounted = true;
-        entry->bytes = now;
-        bytes_.fetch_add(now, std::memory_order_relaxed);
-      } else if (now > entry->bytes) {
-        bytes_.fetch_add(now - entry->bytes, std::memory_order_relaxed);
-        entry->bytes = now;
-      }
+    if (!entry->accounted &&
+        std::find(shard.entries.begin(), shard.entries.end(), entry) !=
+            shard.entries.end()) {
+      entry->accounted = true;
+      bytes_.fetch_add(entry->bytes, std::memory_order_relaxed);
     }
   }
   if (bytes_.load(std::memory_order_relaxed) > byte_budget_) {

@@ -31,25 +31,24 @@
 // Stats counters are atomics; stats() returns a snapshot. Solving on the
 // returned sessions concurrently is safe because prepared sessions are
 // immutable at solve time (see the Preconditioner apply-workspace contract);
-// the solve-time *toggles* below are the deliberate exception.
+// the solve-time *toggle* below is the deliberate exception.
 //
 // Sharing contract: every hit hands out the SAME session object, mutably —
-// deliberately, so solve-time toggles (set_method, set_block_multi_rhs) work
-// on cached sessions for A/B comparisons. Those toggles affect every holder
-// (flip them only while no other client is mid-solve), and calling setup()
+// deliberately, so the solve-time toggle set_method works on cached
+// sessions for A/B comparisons. That toggle affects every holder (flip it
+// only while no other client is mid-solve), and calling setup()
 // on a cache-returned session throws ContractError — it would re-key the
 // shared prepared state out from under the entry's stored fingerprint.
 // Re-key through the cache instead — get_or_setup with the new
 // operator/config.
 //
-// Eviction: least-recently-used by a byte budget, measured with
-// SolverSession::memory_bytes() plus the entry's owned copies and
-// re-measured on every touch — state a session builds lazily after setup
-// (the GNN block path's merged-shard plans) is folded into the budget at
-// the next hit instead of escaping it. Recency is a global atomic clock, so
-// LRU order spans all shards. A single entry larger than the whole budget
-// is admitted (the alternative — refusing to cache — silently re-pays setup
-// forever) and becomes the first eviction candidate.
+// Eviction: least-recently-used by a byte budget, measured once when an
+// entry's setup finishes with SolverSession::memory_bytes() plus the entry's
+// owned copies (nothing in a prepared session grows after setup). Recency
+// is a global atomic clock, so LRU order spans all shards. A single entry
+// larger than the whole budget is admitted (the alternative — refusing to
+// cache — silently re-pays setup forever) and becomes the first eviction
+// candidate.
 #pragma once
 
 #include <array>

@@ -5,10 +5,10 @@
 // paid a full scalar Krylov solve even when dozens of requests against the
 // same prepared operator were in flight simultaneously. But the repo already
 // owns a faster path for exactly that shape — solve_many's block engine runs
-// ONE SpMM and ONE fused preconditioner application (for DDM-GNN, one
-// disjoint-union DSS inference across all K×s local problems) per iteration,
-// and the shared search space of block flexible PCG converges each column in
-// fewer iterations than solving it alone. SolveService routes streaming
+// ONE SpMM and ONE block preconditioner application (for the Schwarz
+// preconditioners, all K×s local solves in one parallel region) per
+// iteration, and the shared search space of block flexible PCG converges
+// each column in fewer iterations than solving it alone. SolveService routes streaming
 // traffic through that path automatically:
 //
 //   core::SessionCache cache(1u << 30);

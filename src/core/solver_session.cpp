@@ -220,7 +220,7 @@ std::vector<solver::SolveResult> SolverSession::solve_many(
       method_ == solver::KrylovMethod::kCg ||
       method_ == solver::KrylovMethod::kPcg ||
       method_ == solver::KrylovMethod::kFpcg;
-  if (cfg_.block_multi_rhs && block_capable && rhs.size() > 1) {
+  if (block_capable && rhs.size() > 1) {
     for (const auto& b : rhs) {
       DDMGNN_CHECK(b.size() == n, "solve_many: rhs size mismatch");
     }
@@ -282,11 +282,8 @@ std::size_t SolverSession::memory_bytes() const {
   // case (heavier fan-in scales the transient scratch, not the cached state).
   if (m_inv_) bytes += m_inv_->workspace_bytes();
   // The GNN local solver additionally holds per-topology attr-projection
-  // caches (the factorized inference engine's setup-time precompute) and the
-  // block path's merged-shard plan cache; count both so the SessionCache
-  // byte budget stays honest for ddm-gnn sessions. Plans are built lazily
-  // per column count, so this (intentionally coarse) estimate grows after
-  // the first solve_many.
+  // caches (the factorized inference engine's setup-time precompute); count
+  // them so the SessionCache byte budget stays honest for ddm-gnn sessions.
   if (const auto* schwarz =
           dynamic_cast<const precond::AdditiveSchwarz*>(m_inv_.get())) {
     // Coarse-correction state: the dense Nicolaides factor, or the whole
@@ -300,7 +297,6 @@ std::size_t SolverSession::memory_bytes() const {
       for (const auto& cache : gnn_local->edge_caches()) {
         if (cache) bytes += cache->bytes();
       }
-      bytes += gnn_local->plan_cache_bytes();
     }
   }
   return bytes;

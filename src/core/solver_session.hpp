@@ -97,11 +97,6 @@ struct HybridConfig {
   int mg_smooth_steps = 1;
   std::uint64_t seed = 0;
   bool track_history = true;
-  /// solve_many: dispatch to the batched block-Krylov engine (one fused
-  /// SpMM + one block preconditioner application per iteration — for
-  /// DDM-GNN a single disjoint-union DSS inference over all K×s local
-  /// problems). false restores the sequential one-RHS-at-a-time loop.
-  bool block_multi_rhs = true;
 };
 
 /// Optional extra structure for the matrix-first setup path. Everything is
@@ -182,12 +177,12 @@ class SolverSession {
   /// Solve the same operator against each right-hand side in `rhs`;
   /// `xs` is resized to match, every solve starting from a zero guess.
   ///
-  /// With cfg.block_multi_rhs (the default) and a CG/PCG/FPCG method, all
+  /// With two or more right-hand sides and a CG/PCG/FPCG method, all
   /// right-hand sides advance together through the block-Krylov engine:
   /// every iteration pays ONE SpMM and ONE block preconditioner application
-  /// instead of one per RHS, and converged columns are deflated out. The
-  /// sequential loop remains for single RHS, opted-out configs, and methods
-  /// without a block form (BiCGStab/GMRES).
+  /// (all K·s local solves in one parallel region) instead of one per RHS,
+  /// and finished columns are deflated out. The sequential loop remains for
+  /// a single RHS and for methods without a block form (BiCGStab/GMRES).
   std::vector<solver::SolveResult> solve_many(
       std::span<const std::vector<double>> rhs,
       std::vector<std::vector<double>>& xs) const;
@@ -216,9 +211,6 @@ class SolverSession {
   /// Switch the Krylov method for subsequent solves — no re-setup needed;
   /// the preconditioner state is method-agnostic.
   void set_method(solver::KrylovMethod method) { method_ = method; }
-  /// Toggle the batched solve_many dispatch at solve time (A/B comparisons
-  /// need no duplicate setup; the preconditioner state serves both paths).
-  void set_block_multi_rhs(bool enabled) { cfg_.block_multi_rhs = enabled; }
   const precond::Preconditioner& preconditioner() const;
   const HybridConfig& config() const { return cfg_; }
   /// Rough bytes held by the prepared state: the operator's CSR views, the

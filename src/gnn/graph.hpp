@@ -74,7 +74,7 @@ CsrMatrix adjacency_pattern(std::span<const la::Offset> adj_ptr,
 
 /// (Re)build the receiver-CSR index (recv_ptr / recv_order) from the edge
 /// list — a stable counting sort by receiver, O(n + ne). Every construction
-/// site (build_topology, batch_samples, dataset I/O) calls this; custom
+/// site (build_topology, dataset I/O) calls this; custom
 /// topologies assembled by hand must call it before fast-path inference.
 void finalize_topology(GraphTopology& topo);
 

@@ -157,35 +157,6 @@ void DenseCholesky::solve_inplace(std::span<double> b) const {
   }
 }
 
-void DenseCholesky::solve_inplace_columns(std::span<double> cols,
-                                          Index num_cols) const {
-  const Index n = l_.rows();
-  DDMGNN_CHECK(num_cols >= 0 &&
-                   cols.size() == static_cast<std::size_t>(n) * num_cols,
-               "DenseCholesky::solve_inplace_columns dims");
-  auto col = [&](Index c) {
-    return cols.data() + static_cast<std::size_t>(c) * n;
-  };
-  // L Y = B — the row sweep is shared, every column rides along.
-  for (Index i = 0; i < n; ++i) {
-    for (Index c = 0; c < num_cols; ++c) {
-      double* b = col(c);
-      double acc = b[i];
-      for (Index j = 0; j < i; ++j) acc -= l_(i, j) * b[j];
-      b[i] = acc / l_(i, i);
-    }
-  }
-  // Lᵀ X = Y
-  for (Index i = n - 1; i >= 0; --i) {
-    for (Index c = 0; c < num_cols; ++c) {
-      double* b = col(c);
-      double acc = b[i];
-      for (Index j = i + 1; j < n; ++j) acc -= l_(j, i) * b[j];
-      b[i] = acc / l_(i, i);
-    }
-  }
-}
-
 std::vector<double> DenseCholesky::solve(std::span<const double> b) const {
   std::vector<double> x(b.begin(), b.end());
   solve_inplace(x);

@@ -71,10 +71,6 @@ class DenseCholesky {
 
   std::vector<double> solve(std::span<const double> b) const;
   void solve_inplace(std::span<double> b_to_x) const;
-  /// One backsolve serving `num_cols` right-hand sides stored column-major in
-  /// `cols` (size() rows each): the factor is swept once for the whole block.
-  /// Per column the arithmetic matches solve_inplace exactly.
-  void solve_inplace_columns(std::span<double> cols, Index num_cols) const;
   Index size() const { return l_.rows(); }
 
  private:

@@ -1,10 +1,10 @@
 // Block vector for multi-RHS solves: s right-hand sides / iterates stored
 // column-major (each column contiguous, column j at data()[j*rows()]). This
 // is the currency of the batched solve engine — CsrMatrix::apply_many runs
-// one SpMM over all columns, Preconditioner::apply_many hands whole blocks
-// to the subdomain solvers (one batched DSS inference per application for
-// DDM-GNN, Eq. 14), and solver/block_krylov advances every column per
-// Krylov iteration.
+// one SpMM over all columns, Preconditioner::apply_many preconditions the
+// whole block (for Additive Schwarz: all K×s local solves in one parallel
+// region), and solver/block_krylov advances every column per Krylov
+// iteration.
 //
 // The fused kernels below intentionally reuse the scalar vector_ops kernels
 // column-by-column so a lockstep block iteration reproduces the scalar

@@ -75,66 +75,6 @@ void VCycle::smooth(const CoarseLevel& level, std::span<const double> b,
   }
 }
 
-void VCycle::smooth_many(const CoarseLevel& level, const la::MultiVector& b,
-                         la::MultiVector& x) const {
-  const la::Index n = x.rows();
-  const la::Index s = x.cols();
-  const auto& inv_diag = level.inv_diag;
-  la::MultiVector res(n, s);
-  if (cfg_.smoother == Smoother::kJacobi) {
-    const double d = 1.0 / (1.05 * level.lambda_max);
-    for (int step = 0; step < cfg_.smooth_steps; ++step) {
-      level.A.apply_many(x, res);
-      for (la::Index j = 0; j < s; ++j) {
-        auto xj = x.col(j);
-        const auto bj = b.col(j);
-        const auto rj = res.col(j);
-        for (la::Index i = 0; i < n; ++i) {
-          xj[i] += d * inv_diag[i] * (bj[i] - rj[i]);
-        }
-      }
-    }
-    return;
-  }
-  const double lmax = kChebUpperPad * level.lambda_max;
-  const double lmin = kChebLowerRatio * lmax;
-  const double theta = 0.5 * (lmax + lmin);
-  const double delta = 0.5 * (lmax - lmin);
-  const double sigma = theta / delta;
-  double rho = 1.0 / sigma;
-  la::MultiVector d(n, s);
-  level.A.apply_many(x, res);
-  for (la::Index j = 0; j < s; ++j) {
-    auto dj = d.col(j);
-    const auto bj = b.col(j);
-    const auto rj = res.col(j);
-    for (la::Index i = 0; i < n; ++i) {
-      dj[i] = inv_diag[i] * (bj[i] - rj[i]) / theta;
-    }
-  }
-  for (int k = 0;; ++k) {
-    for (la::Index j = 0; j < s; ++j) {
-      auto xj = x.col(j);
-      const auto dj = d.col(j);
-      for (la::Index i = 0; i < n; ++i) xj[i] += dj[i];
-    }
-    if (k + 1 >= cfg_.smooth_steps) break;
-    level.A.apply_many(x, res);
-    const double rho_next = 1.0 / (2.0 * sigma - rho);
-    const double c1 = rho_next * rho;
-    const double c2 = 2.0 * rho_next / delta;
-    for (la::Index j = 0; j < s; ++j) {
-      auto dj = d.col(j);
-      const auto bj = b.col(j);
-      const auto rj = res.col(j);
-      for (la::Index i = 0; i < n; ++i) {
-        dj[i] = c1 * dj[i] + c2 * inv_diag[i] * (bj[i] - rj[i]);
-      }
-    }
-    rho = rho_next;
-  }
-}
-
 void VCycle::cycle(int lvl, std::span<const double> r,
                    std::span<double> e) const {
   const int last = h_.num_coarse_levels() - 1;
@@ -175,65 +115,6 @@ void VCycle::cycle(int lvl, std::span<const double> r,
   smooth(level, r, e);
 }
 
-void VCycle::cycle_many(int lvl, const la::MultiVector& r,
-                        la::MultiVector& e) const {
-  const int last = h_.num_coarse_levels() - 1;
-  const la::Index s = r.cols();
-  if (lvl == last) {
-    obs::Span sp("mg.coarse_solve");
-    sp.arg("level", static_cast<double>(lvl + 1));
-    e.resize(r.rows(), s);
-    la::copy(r.data(), e.data());
-    h_.coarsest_factor->solve_inplace_columns(e.data(), s);
-    return;
-  }
-  obs::Span sp("mg.level");
-  sp.arg("level", static_cast<double>(lvl + 1));
-  const CoarseLevel& level = h_.levels[lvl];
-  const CoarseLevel& child = h_.levels[lvl + 1];
-  const la::Index n = r.rows();
-
-  e.resize(n, s);
-  e.fill(0.0);
-  smooth_many(level, r, e);
-
-  la::MultiVector res(n, s);
-  level.A.apply_many(e, res);
-  for (la::Index j = 0; j < s; ++j) {
-    auto rj = res.col(j);
-    const auto bj = r.col(j);
-    for (la::Index i = 0; i < n; ++i) rj[i] = bj[i] - rj[i];
-  }
-
-  la::MultiVector rc, ec;
-  child.R.apply_many(res, rc);
-  cycle_many(lvl + 1, rc, ec);
-  if (cfg_.w_cycle && lvl + 1 != last) {
-    const la::Index nc = child.A.rows();
-    la::MultiVector rc2, ec2;
-    child.A.apply_many(ec, rc2);
-    for (la::Index j = 0; j < s; ++j) {
-      auto r2j = rc2.col(j);
-      const auto rcj = rc.col(j);
-      for (la::Index i = 0; i < nc; ++i) r2j[i] = rcj[i] - r2j[i];
-    }
-    cycle_many(lvl + 1, rc2, ec2);
-    for (la::Index j = 0; j < s; ++j) {
-      auto ecj = ec.col(j);
-      const auto e2j = ec2.col(j);
-      for (la::Index i = 0; i < nc; ++i) ecj[i] += e2j[i];
-    }
-  }
-  child.P.apply_many(ec, res);
-  for (la::Index j = 0; j < s; ++j) {
-    auto ej = e.col(j);
-    const auto pj = res.col(j);
-    for (la::Index i = 0; i < n; ++i) ej[i] += pj[i];
-  }
-
-  smooth_many(level, r, e);
-}
-
 void VCycle::apply_add(std::span<const double> r, std::span<double> z) const {
   obs::Span sp("mg.cycle");
   sp.arg("levels", static_cast<double>(h_.num_coarse_levels()));
@@ -248,26 +129,6 @@ void VCycle::apply_add(std::span<const double> r, std::span<double> z) const {
   std::vector<double> corr(n);
   top.P.multiply(e, corr);
   for (std::size_t i = 0; i < n; ++i) z[i] += corr[i];
-}
-
-void VCycle::apply_add_many(const la::MultiVector& r,
-                            la::MultiVector& z) const {
-  obs::Span sp("mg.cycle");
-  sp.arg("levels", static_cast<double>(h_.num_coarse_levels()));
-  const la::Index n = r.rows();
-  const la::Index s = r.cols();
-  DDMGNN_CHECK(n == h_.fine_rows && z.rows() == n && z.cols() == s,
-               "vcycle apply_add_many: shape mismatch");
-  const CoarseLevel& top = h_.levels[0];
-  la::MultiVector rc, e, corr;
-  top.R.apply_many(r, rc);
-  cycle_many(0, rc, e);
-  top.P.apply_many(e, corr);
-  for (la::Index j = 0; j < s; ++j) {
-    auto zj = z.col(j);
-    const auto cj = corr.col(j);
-    for (la::Index i = 0; i < n; ++i) zj[i] += cj[i];
-  }
 }
 
 }  // namespace ddmgnn::mg

@@ -11,9 +11,7 @@
 // Concurrency: immutable after construction; every apply allocates its own
 // per-level scratch, so one VCycle serves concurrent clients (the standard
 // CoarseComponent contract). Applies are bitwise-deterministic at any thread
-// count (SpMV/SpMM + elementwise updates + dense backsolves only), and
-// apply_add_many reuses the per-column-exact block kernels so block Krylov
-// lockstep equivalence holds through the cycle.
+// count (SpMV + elementwise updates + dense backsolves only).
 #pragma once
 
 #include "mg/hierarchy.hpp"
@@ -36,8 +34,6 @@ class VCycle final : public partition::CoarseComponent {
 
   void apply_add(std::span<const double> r, std::span<double> z)
       const override;
-  void apply_add_many(const la::MultiVector& r,
-                      la::MultiVector& z) const override;
 
   std::string name() const override;
   std::size_t memory_bytes() const override { return h_.memory_bytes(); }
@@ -51,11 +47,8 @@ class VCycle final : public partition::CoarseComponent {
  private:
   // e ← cycle approximation of A_lvl⁻¹ r (e is overwritten).
   void cycle(int lvl, std::span<const double> r, std::span<double> e) const;
-  void cycle_many(int lvl, const la::MultiVector& r, la::MultiVector& e) const;
   void smooth(const CoarseLevel& level, std::span<const double> b,
               std::span<double> x) const;
-  void smooth_many(const CoarseLevel& level, const la::MultiVector& b,
-                   la::MultiVector& x) const;
 
   Hierarchy h_;
   CycleConfig cfg_;

@@ -5,18 +5,16 @@
 // NicolaidesCoarseSpace (dense K×K factor, the two-level method) and
 // mg::VCycle (recursive smoothed-aggregation hierarchy, the L-level method).
 //
-// Contract: implementations are immutable after construction and apply_add /
-// apply_add_many allocate any scratch they need per call, so one component
-// may serve concurrent clients (the same rule as Preconditioner workspaces).
-// apply_add_many must match apply_add bitwise per column — block Krylov
-// lockstep equivalence depends on it.
+// Contract: implementations are immutable after construction and apply_add
+// allocates any scratch it needs per call, so one component may serve
+// concurrent clients (the same rule as Preconditioner workspaces). A block
+// Schwarz apply calls apply_add once per column, so block and single applies
+// agree by construction.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <string>
-
-#include "la/multivector.hpp"
 
 namespace ddmgnn::partition {
 
@@ -27,12 +25,6 @@ class CoarseComponent {
   /// z += B_c r on the fine level.
   virtual void apply_add(std::span<const double> r, std::span<double> z)
       const = 0;
-
-  /// Block form; default loops columns (bitwise-identical by construction).
-  virtual void apply_add_many(const la::MultiVector& r,
-                              la::MultiVector& z) const {
-    for (la::Index j = 0; j < r.cols(); ++j) apply_add(r.col(j), z.col(j));
-  }
 
   virtual std::string name() const = 0;
 

@@ -68,34 +68,6 @@ std::vector<double> NicolaidesCoarseSpace::restrict_residual(
   return rc;
 }
 
-void NicolaidesCoarseSpace::apply_add_many(const la::MultiVector& r,
-                                           la::MultiVector& z) const {
-  const Index n = dec_->num_nodes();
-  const Index k = dec_->num_parts;
-  const Index s = r.cols();
-  DDMGNN_CHECK(r.rows() == n && z.rows() == n && z.cols() == s,
-               "coarse apply_add_many: shape mismatch");
-  // Restrict every column into one K×s block, backsolve it in one sweep of
-  // the factor, then prolong column-wise.
-  la::MultiVector rc(k, s);
-  for (Index j = 0; j < s; ++j) {
-    const std::vector<double> rj = restrict_residual(r.col(j));
-    la::copy(rj, rc.col(j));
-  }
-  factor_->solve_inplace_columns(rc.data(), s);
-  for (Index j = 0; j < s; ++j) {
-    auto zj = z.col(j);
-    const auto rcj = rc.col(j);
-    for (Index v = 0; v < n; ++v) {
-      double acc = 0.0;
-      for (Offset m = node_ptr_[v]; m < node_ptr_[v + 1]; ++m) {
-        acc += node_weight_[m] * rcj[node_part_[m]];
-      }
-      zj[v] += acc;
-    }
-  }
-}
-
 void NicolaidesCoarseSpace::apply_add(std::span<const double> r,
                                       std::span<double> z) const {
   std::vector<double> rc = restrict_residual(r);

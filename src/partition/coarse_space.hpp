@@ -11,7 +11,6 @@
 
 #include "la/csr.hpp"
 #include "la/dense.hpp"
-#include "la/multivector.hpp"
 #include "partition/coarse_component.hpp"
 #include "partition/decomposition.hpp"
 
@@ -26,12 +25,6 @@ class NicolaidesCoarseSpace final : public CoarseComponent {
 
   /// z += R0ᵀ (R0 A R0ᵀ)⁻¹ R0 r.
   void apply_add(std::span<const double> r, std::span<double> z) const override;
-
-  /// Block form: the K×s restricted block is pushed through ONE factorization
-  /// backsolve (solve_inplace_columns) serving all s columns. Per column the
-  /// arithmetic matches apply_add exactly.
-  void apply_add_many(const la::MultiVector& r,
-                      la::MultiVector& z) const override;
 
   std::string name() const override { return "nicolaides"; }
   std::size_t memory_bytes() const override;

@@ -22,24 +22,6 @@ void Decomposition::prolong_add(Index i, std::span<const double> x,
   for (std::size_t l = 0; l < nodes.size(); ++l) y[nodes[l]] += x[l];
 }
 
-void Decomposition::restrict_to_many(Index i, const la::MultiVector& x,
-                                     la::MultiVector& out) const {
-  const auto& nodes = subdomains[i];
-  DDMGNN_CHECK(out.rows() == static_cast<Index>(nodes.size()) &&
-                   out.cols() == x.cols(),
-               "restrict_to_many: size mismatch");
-  for (Index j = 0; j < x.cols(); ++j) restrict_to(i, x.col(j), out.col(j));
-}
-
-void Decomposition::prolong_add_many(Index i, const la::MultiVector& x,
-                                     la::MultiVector& y) const {
-  const auto& nodes = subdomains[i];
-  DDMGNN_CHECK(x.rows() == static_cast<Index>(nodes.size()) &&
-                   x.cols() == y.cols(),
-               "prolong_add_many: size mismatch");
-  for (Index j = 0; j < x.cols(); ++j) prolong_add(i, x.col(j), y.col(j));
-}
-
 namespace {
 
 /// Farthest-point seeds: repeated multi-source BFS, next seed = farthest node.

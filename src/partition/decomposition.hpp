@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "la/csr.hpp"
-#include "la/multivector.hpp"
 
 namespace ddmgnn::partition {
 
@@ -37,13 +36,6 @@ struct Decomposition {
   /// Scatter-add: y[subdomains[i][l]] += x[l].
   void prolong_add(Index i, std::span<const double> x,
                    std::span<double> y) const;
-
-  /// Block forms for the multi-RHS path: gather / scatter-add every column
-  /// of an n×s block in one call. `out` must be pre-sized |subdomain i|×s.
-  void restrict_to_many(Index i, const la::MultiVector& x,
-                        la::MultiVector& out) const;
-  void prolong_add_many(Index i, const la::MultiVector& x,
-                        la::MultiVector& y) const;
 };
 
 /// Node-to-node adjacency in mesh::Mesh's CSR layout (sorted neighbor lists,

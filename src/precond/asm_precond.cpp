@@ -37,28 +37,6 @@ obs::Gauge& coarse_gauge() {
 
 }  // namespace
 
-void SubdomainSolver::solve_all_block(
-    const std::vector<la::MultiVector>& r_loc,
-    std::vector<la::MultiVector>& z_loc, Workspace* ws) const {
-  const std::size_t k = r_loc.size();
-  DDMGNN_CHECK(z_loc.size() == k, "solve_all_block: batch size");
-  const Index s = k == 0 ? 0 : r_loc[0].cols();
-  std::vector<std::vector<double>> r_col(k), z_col(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    r_col[i].resize(r_loc[i].rows());
-    z_col[i].resize(r_loc[i].rows());
-  }
-  for (Index j = 0; j < s; ++j) {
-    for (std::size_t i = 0; i < k; ++i) {
-      la::copy(r_loc[i].col(j), r_col[i]);
-    }
-    solve_all(r_col, z_col, ws);
-    for (std::size_t i = 0; i < k; ++i) {
-      la::copy(z_col[i], z_loc[i].col(j));
-    }
-  }
-}
-
 void CholeskySubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
                                     const partition::Decomposition& dec) {
   (void)dec;
@@ -71,79 +49,41 @@ void CholeskySubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
 
 namespace {
 
-/// Per-caller scratch of CholeskySubdomainSolver: one sweep buffer per
-/// OpenMP lane of the caller's solve.
+/// One lane of CholeskySubdomainSolver: its sweep buffer.
 struct CholeskyWorkspace final : SubdomainSolver::Workspace {
-  std::vector<la::SkylineCholesky::Scratch> lanes;
+  la::SkylineCholesky::Scratch sweep;
 };
-
-/// The caller's lanes, at least `team` of them.
-std::vector<la::SkylineCholesky::Scratch>& cholesky_lanes(
-    SubdomainSolver::Workspace* ws, int team) {
-  auto* cws = dynamic_cast<CholeskyWorkspace*>(ws);
-  DDMGNN_CHECK(cws != nullptr,
-               "CholeskySubdomainSolver: solve needs a workspace from this "
-               "solver's make_workspace()");
-  if (static_cast<int>(cws->lanes.size()) < team) cws->lanes.resize(team);
-  return cws->lanes;
-}
 
 }  // namespace
 
 std::unique_ptr<SubdomainSolver::Workspace>
 CholeskySubdomainSolver::make_workspace() const {
-  auto ws = std::make_unique<CholeskyWorkspace>();
-  ws->lanes.resize(static_cast<std::size_t>(std::max(1, num_threads())));
-  return ws;
+  return std::make_unique<CholeskyWorkspace>();
 }
 
 std::size_t CholeskySubdomainSolver::workspace_bytes() const {
   Index max_n = 0;
   for (const auto& f : factors_) max_n = std::max(max_n, f->size());
-  return static_cast<std::size_t>(max_n) * sizeof(double) *
-         static_cast<std::size_t>(std::max(1, num_threads()));
+  return static_cast<std::size_t>(max_n) * sizeof(double);
 }
 
-void CholeskySubdomainSolver::solve_all(
-    const std::vector<std::vector<double>>& r_loc,
-    std::vector<std::vector<double>>& z_loc, Workspace* ws) const {
-  DDMGNN_CHECK(r_loc.size() == factors_.size(), "solve_all: batch size");
-  // Read the thread count once, so the team never outgrows the lanes.
-  const int team = std::max(1, num_threads());
-  auto& lanes = cholesky_lanes(ws, team);
-#pragma omp parallel for schedule(dynamic, 1) num_threads(team)
-  for (long i = 0; i < static_cast<long>(r_loc.size()); ++i) {
-    z_loc[i].assign(r_loc[i].begin(), r_loc[i].end());
-    factors_[i]->solve_inplace(z_loc[i], lanes[omp_get_thread_num()]);
-  }
-}
-
-void CholeskySubdomainSolver::solve_all_block(
-    const std::vector<la::MultiVector>& r_loc,
-    std::vector<la::MultiVector>& z_loc, Workspace* ws) const {
-  DDMGNN_CHECK(r_loc.size() == factors_.size(), "solve_all_block: batch size");
-  const int team = std::max(1, num_threads());
-  auto& lanes = cholesky_lanes(ws, team);
-#pragma omp parallel for schedule(dynamic, 1) num_threads(team)
-  for (long i = 0; i < static_cast<long>(r_loc.size()); ++i) {
-    const la::MultiVector& r = r_loc[i];
-    la::MultiVector& z = z_loc[i];
-    la::SkylineCholesky::Scratch& scratch = lanes[omp_get_thread_num()];
-    for (Index j = 0; j < r.cols(); ++j) {
-      la::copy(r.col(j), z.col(j));
-      factors_[i]->solve_inplace(z.col(j), scratch);
-    }
-  }
+void CholeskySubdomainSolver::solve(Index i, std::span<const double> r,
+                                    std::span<double> z, Workspace* ws) const {
+  auto* cws = dynamic_cast<CholeskyWorkspace*>(ws);
+  DDMGNN_CHECK(cws != nullptr,
+               "CholeskySubdomainSolver: solve needs a workspace from this "
+               "solver's make_workspace()");
+  std::copy(r.begin(), r.end(), z.begin());
+  factors_[i]->solve_inplace(z, cws->sweep);
 }
 
 struct AdditiveSchwarz::Scratch final : ApplyWorkspace {
-  // Reused per-apply buffers.
+  // Local restrictions / corrections: subdomain i's columns back to back.
+  // Grown to the widest block applied so far.
   std::vector<std::vector<double>> r_loc;
   std::vector<std::vector<double>> z_loc;
-  // Block-path scratch (resized to the current column count s).
-  std::vector<la::MultiVector> r_blk;
-  std::vector<la::MultiVector> z_blk;
-  std::unique_ptr<SubdomainSolver::Workspace> local;
+  // One subdomain-solver workspace per OpenMP lane, grown to the team size.
+  std::vector<std::unique_ptr<SubdomainSolver::Workspace>> lanes;
 };
 
 AdditiveSchwarz::AdditiveSchwarz(
@@ -176,24 +116,20 @@ AdditiveSchwarz::AdditiveSchwarz(
 
 std::unique_ptr<ApplyWorkspace> AdditiveSchwarz::make_workspace() const {
   auto ws = std::make_unique<Scratch>();
-  const Index k = dec_->num_parts;
-  ws->r_loc.resize(k);
-  ws->z_loc.resize(k);
-  for (Index i = 0; i < k; ++i) {
-    ws->r_loc[i].resize(dec_->subdomains[i].size());
-    ws->z_loc[i].resize(dec_->subdomains[i].size());
-  }
-  ws->local = solver_->make_workspace();
+  ws->r_loc.resize(dec_->num_parts);
+  ws->z_loc.resize(dec_->num_parts);
   return ws;
 }
 
 std::size_t AdditiveSchwarz::workspace_bytes() const {
   std::size_t local_nodes = 0;
   for (const auto& nodes : dec_->subdomains) local_nodes += nodes.size();
-  // r_loc + z_loc doubles (the block path adds s columns of the same — the
-  // estimate stays at the single-RHS footprint) plus the local solver's own
-  // scratch.
-  return 2 * local_nodes * sizeof(double) + solver_->workspace_bytes();
+  // r_loc + z_loc doubles (a block apply adds s columns of the same — the
+  // estimate stays at the single-RHS footprint) plus one local-solver
+  // workspace per lane.
+  return 2 * local_nodes * sizeof(double) +
+         static_cast<std::size_t>(std::max(1, num_threads())) *
+             solver_->workspace_bytes();
 }
 
 AdditiveSchwarz::Scratch& AdditiveSchwarz::scratch_of(
@@ -210,71 +146,79 @@ void AdditiveSchwarz::apply(std::span<const double> r,
   const Index n = dec_->num_nodes();
   DDMGNN_CHECK(r.size() == static_cast<std::size_t>(n) && z.size() == r.size(),
                "ASM::apply dims");
-  Scratch& scratch = scratch_of(ws);
-  const Index k = dec_->num_parts;
   OBS_SPAN("asm.apply");
-  {
-    obs::PhaseTimer t("asm.restrict", &restrict_gauge());
-    for (Index i = 0; i < k; ++i) {
-      dec_->restrict_to(i, r, scratch.r_loc[i]);
-    }
-  }
-  {
-    obs::PhaseTimer t("asm.subdomain_solve", &solve_gauge());
-    solver_->solve_all(scratch.r_loc, scratch.z_loc, scratch.local.get());
-  }
-  {
-    obs::PhaseTimer t("asm.prolong", &prolong_gauge());
-    std::fill(z.begin(), z.end(), 0.0);
-    for (Index i = 0; i < k; ++i) {
-      dec_->prolong_add(i, scratch.z_loc[i], z);
-    }
-  }
-  if (coarse_) {
-    obs::PhaseTimer t("asm.coarse", &coarse_gauge());
-    coarse_->apply_add(r, z);
-  }
+  apply_columns(r, z, 1, scratch_of(ws));
 }
 
 void AdditiveSchwarz::apply_many(const la::MultiVector& r,
                                  la::MultiVector& z, ApplyWorkspace* ws) const {
   const Index n = dec_->num_nodes();
-  const Index s = r.cols();
-  DDMGNN_CHECK(r.rows() == n && z.rows() == n && z.cols() == s,
+  DDMGNN_CHECK(r.rows() == n && z.rows() == n && z.cols() == r.cols(),
                "ASM::apply_many dims");
-  Scratch& scratch = scratch_of(ws);
-  const Index k = dec_->num_parts;
   OBS_SPAN("asm.apply_many");
+  apply_columns(r.data(), z.data(), r.cols(), scratch_of(ws));
+}
+
+void AdditiveSchwarz::apply_columns(std::span<const double> r,
+                                    std::span<double> z, Index s,
+                                    Scratch& scratch) const {
+  const auto n = static_cast<std::size_t>(dec_->num_nodes());
+  const Index k = dec_->num_parts;
+  auto column = [n](auto v, Index j) {
+    return v.subspan(static_cast<std::size_t>(j) * n, n);
+  };
+  // Task t = i·s + j: column j of subdomain i, at offset j·|Ω_i| of the
+  // subdomain's local buffers.
+  auto local = [&](std::vector<double>& buf, long t) {
+    const std::size_t ni = dec_->subdomains[t / s].size();
+    return std::span<double>(buf).subspan(
+        static_cast<std::size_t>(t % s) * ni, ni);
+  };
   {
     obs::PhaseTimer t("asm.restrict", &restrict_gauge());
-    if (scratch.r_blk.empty()) {
-      scratch.r_blk.resize(k);
-      scratch.z_blk.resize(k);
-    }
     for (Index i = 0; i < k; ++i) {
-      const auto ni = static_cast<Index>(dec_->subdomains[i].size());
-      if (scratch.r_blk[i].rows() != ni || scratch.r_blk[i].cols() != s) {
-        scratch.r_blk[i].resize(ni, s);
-        scratch.z_blk[i].resize(ni, s);
+      const std::size_t len = dec_->subdomains[i].size() * s;
+      if (scratch.r_loc[i].size() < len) {
+        scratch.r_loc[i].resize(len);
+        scratch.z_loc[i].resize(len);
       }
-      dec_->restrict_to_many(i, r, scratch.r_blk[i]);
+      for (Index j = 0; j < s; ++j) {
+        dec_->restrict_to(i, column(r, j), local(scratch.r_loc[i], i * s + j));
+      }
     }
   }
   {
     obs::PhaseTimer t("asm.subdomain_solve", &solve_gauge());
-    solver_->solve_all_block(scratch.r_blk, scratch.z_blk,
-                             scratch.local.get());
+    // Read the thread count once: a concurrent set_num_threads() between
+    // sizing the lanes and forking the team must not leave the team wider
+    // than the lane array.
+    const int team = std::max(1, num_threads());
+    while (static_cast<int>(scratch.lanes.size()) < team) {
+      scratch.lanes.push_back(solver_->make_workspace());
+    }
+    const long tasks = static_cast<long>(k) * s;
+#pragma omp parallel for schedule(dynamic, 1) num_threads(team)
+    for (long task = 0; task < tasks; ++task) {
+      const auto i = static_cast<Index>(task / s);
+      solver_->solve(i, local(scratch.r_loc[i], task),
+                     local(scratch.z_loc[i], task),
+                     scratch.lanes[omp_get_thread_num()].get());
+    }
   }
   {
     obs::PhaseTimer t("asm.prolong", &prolong_gauge());
-    z.fill(0.0);
-    for (Index i = 0; i < k; ++i) {
-      dec_->prolong_add_many(i, scratch.z_blk[i], z);
+    std::fill(z.begin(), z.end(), 0.0);
+    for (Index j = 0; j < s; ++j) {
+      for (Index i = 0; i < k; ++i) {
+        dec_->prolong_add(i, local(scratch.z_loc[i], i * s + j), column(z, j));
+      }
     }
   }
   if (coarse_) {
     obs::PhaseTimer t("asm.coarse", &coarse_gauge());
-    coarse_->apply_add_many(r, z);
+    for (Index j = 0; j < s; ++j) {
+      coarse_->apply_add(column(r, j), column(z, j));
+    }
   }
 }
 

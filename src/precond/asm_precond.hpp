@@ -12,8 +12,13 @@
 // the residual-normalization of §III-A inside the solver). Local solves run
 // in parallel; the coarse correction is the scalability term.
 //
+// apply and apply_many run one body: restrict every column, solve the K·s
+// (subdomain, column) local problems in one OpenMP loop, prolong, then add
+// the coarse correction column by column. Each column of a block apply
+// therefore runs exactly the code of a single apply.
+//
 // A constructed AdditiveSchwarz is immutable: every per-application buffer
-// (local restrictions, block scratch, the subdomain solver's scratch) lives
+// (local restrictions, one subdomain-solver workspace per OpenMP lane) lives
 // in the caller-owned ApplyWorkspace, so concurrent threads can apply one
 // shared instance safely.
 #pragma once
@@ -42,19 +47,17 @@ class AdditiveSchwarz final : public Preconditioner {
   using Preconditioner::apply;
   using Preconditioner::apply_many;
 
-  /// Per-caller scratch: the K local restriction/correction vectors (sized
-  /// eagerly — apply never allocates in steady state), the block-path
-  /// MultiVectors (resized to the live column count), and the subdomain
-  /// solver's own workspace.
+  /// Per-caller scratch: the K local restriction/correction buffers and one
+  /// subdomain-solver workspace per OpenMP lane. Both grow on first use (to
+  /// the widest block applied and to the team size), so steady state never
+  /// allocates.
   std::unique_ptr<ApplyWorkspace> make_workspace() const override;
   std::size_t workspace_bytes() const override;
 
   void apply(std::span<const double> r, std::span<double> z,
              ApplyWorkspace* ws) const override;
-  /// Block application: restrict all s columns at once, hand the subdomain
-  /// solver a single K×s batch of local right-hand sides (one disjoint-union
-  /// DSS inference for the GNN solver), and push the coarse correction
-  /// through one multi-column backsolve.
+  /// Block application: all K·s local solves of the s columns run in one
+  /// parallel region.
   void apply_many(const la::MultiVector& r, la::MultiVector& z,
                   ApplyWorkspace* ws) const override;
   std::string name() const override;
@@ -72,6 +75,10 @@ class AdditiveSchwarz final : public Preconditioner {
  private:
   struct Scratch;
   Scratch& scratch_of(ApplyWorkspace* ws) const;
+  /// The shared body: `r` and `z` hold s columns of n entries back to back
+  /// (a MultiVector's storage, or one vector for s == 1).
+  void apply_columns(std::span<const double> r, std::span<double> z,
+                     la::Index s, Scratch& scratch) const;
 
   const partition::Decomposition* dec_;
   std::unique_ptr<SubdomainSolver> solver_;

@@ -25,9 +25,9 @@ namespace ddmgnn::precond {
 
 /// Opaque per-caller scratch for Preconditioner::apply/apply_many. Obtained
 /// from make_workspace() of the preconditioner it is used with; holds every
-/// buffer an application mutates (local restrictions, block scratch, DSS
-/// inference tensors). A workspace belongs to exactly one in-flight
-/// application at a time.
+/// buffer an application mutates (local restrictions, DSS inference
+/// tensors). A workspace belongs to exactly one in-flight application at a
+/// time.
 class ApplyWorkspace {
  public:
   virtual ~ApplyWorkspace() = default;
@@ -56,10 +56,9 @@ class Preconditioner {
                      ApplyWorkspace* ws) const = 0;
 
   /// Z = M⁻¹ R column-wise for a block of s residuals. The default loops
-  /// apply(); implementations that can amortize work across columns override
-  /// it (AdditiveSchwarz batches all s columns through one subdomain-solver
-  /// call — for DDM-GNN that is one disjoint-union DSS inference, Eq. 14).
-  /// Every override must stay column-equivalent to the looped default.
+  /// apply(); AdditiveSchwarz overrides it to run all K·s local solves in
+  /// one parallel region. Every override must stay column-equivalent to the
+  /// looped default.
   virtual void apply_many(const la::MultiVector& r, la::MultiVector& z,
                           ApplyWorkspace* ws) const {
     for (la::Index j = 0; j < r.cols(); ++j) apply(r.col(j), z.col(j), ws);

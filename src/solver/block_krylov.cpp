@@ -77,20 +77,23 @@ struct ColumnState {
     res.precond_seconds = precond_share[act[c]];
   }
 
-  /// Finalize every column whose residual met its stop threshold and drop it
-  /// from the active set, compacting the given blocks. Returns the kept
-  /// pre-compaction indices (size == previous active count when nothing
-  /// converged) so callers can compact their own per-column scalars.
+  /// Finalize every column that stops iterating and drop it from the active
+  /// set, compacting the given blocks. A column stops once `rnorm > stop` is
+  /// false — the scalar drivers' loop condition — so a NaN residual retires
+  /// its column as unconverged instead of riding along to max_iterations;
+  /// only rnorm <= stop marks it converged. Returns the kept pre-compaction
+  /// indices (size == previous active count when none stopped) so callers
+  /// can compact their own per-column scalars.
   template <typename... Blocks>
-  std::vector<Index> deflate_converged(int iterations, const Timer& timer,
-                                       Blocks&... blocks) {
+  std::vector<Index> deflate_finished(int iterations, const Timer& timer,
+                                      Blocks&... blocks) {
     std::vector<Index> keep;
     keep.reserve(act.size());
     for (std::size_t c = 0; c < act.size(); ++c) {
-      if (rnorm[c] <= stop[c]) {
-        finalize(c, iterations, /*converged=*/true, timer);
-      } else {
+      if (rnorm[c] > stop[c]) {
         keep.push_back(static_cast<Index>(c));
+      } else {
+        finalize(c, iterations, /*converged=*/rnorm[c] <= stop[c], timer);
       }
     }
     if (keep.size() == act.size()) return keep;
@@ -199,7 +202,7 @@ std::vector<SolveResult> block_pcg_impl(const CsrMatrix& a,
     for (std::size_t c = 0; c < keep.size(); ++c) v[c] = v[keep[c]];
     v.resize(keep.size());
   };
-  compact_scalars(cols.deflate_converged(0, timer, r, p), rho);
+  compact_scalars(cols.deflate_finished(0, timer, r, p), rho);
 
   MultiVector q;
   std::vector<double> alpha, pq, rho_next, beta;
@@ -222,7 +225,7 @@ std::vector<SolveResult> block_pcg_impl(const CsrMatrix& a,
     cols.push_history();
     iter_span.arg("iter", it);
     iter_span.arg("active_columns", cols.active());
-    compact_scalars(cols.deflate_converged(it, timer, r, p), rho);
+    compact_scalars(cols.deflate_finished(it, timer, r, p), rho);
     if (cols.active() == 0) break;
     const Index nw = cols.active();
     z.resize(n, nw);
@@ -265,7 +268,7 @@ std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
   MultiVector r(n, b.cols());
   initial_residual(a, b, x, r, cols);
   cols.push_history();
-  cols.deflate_converged(0, timer, r);
+  cols.deflate_finished(0, timer, r);
 
   // Windowed store of A-orthonormal direction blocks (with images Q = A P,
   // newest last). With a nonlinear preconditioner the short CG recurrence
@@ -276,7 +279,7 @@ std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
   std::vector<MultiVector> pblocks, qblocks;
   Index stored = 0;  // total direction columns across the window
   // Eviction cap (oldest first): generous — the window is what converts the
-  // batched inference into an iteration-count win — but bounded to ~256 MB
+  // block apply into an iteration-count win — but bounded to ~256 MB
   // of direction storage on huge problems (each stored direction keeps both
   // p and q, 16 bytes/row).
   const Index mem_cap = static_cast<Index>(std::max<long long>(
@@ -388,7 +391,7 @@ std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
     }
     stall = improved ? 0 : stall + 1;
 
-    const auto keep = cols.deflate_converged(it, timer, r);
+    const auto keep = cols.deflate_finished(it, timer, r);
     if (keep.size() != best.size()) {
       for (std::size_t c = 0; c < keep.size(); ++c) best[c] = best[keep[c]];
       best.resize(keep.size());

@@ -1,9 +1,12 @@
 // Block-Krylov solvers: the iteration layer of the batched multi-RHS solve
 // engine. Both methods advance ALL right-hand sides per iteration so every
 // A·P becomes one SpMM and every M⁻¹·R one block preconditioner application
-// (for DDM-GNN: one disjoint-union DSS inference over all K×s local
-// problems, the paper's Eq. 14 batching). Columns converge at their own
-// rates and are deflated out of the working block as they finish.
+// (for the Schwarz preconditioners: all K×s local solves in one parallel
+// region). Columns converge at their own rates and are deflated out of the
+// working block as they finish. A column stops exactly where the scalar
+// drivers stop — once `rnorm > stop` is false — so a non-finite column
+// (e.g. a NaN right-hand side) retires at once, unconverged, with failure
+// "nan", instead of holding the block until max_iterations.
 //
 // Two methods, with deliberately different semantics:
 //
@@ -19,11 +22,12 @@
 //    block and minimizes every column's A-norm error over all of them, so
 //    each column benefits from the directions generated for the others and
 //    typically converges in substantially fewer iterations than scalar
-//    fpcg — this is where the batched DSS inference pays (fewer iterations
-//    × cheaper per-iteration inference). Nonlinear preconditioners (the
-//    GNN) are handled flexibly: conjugation only against the previous
-//    block, stagnation detection, and a per-column true-residual
-//    verification with scalar-fpcg fallback as the correctness net.
+//    fpcg — this is where the block apply pays (fewer iterations, each
+//    running all K×s local solves in one parallel region). Nonlinear
+//    preconditioners (the GNN) are handled flexibly: conjugation only
+//    against the previous block, stagnation detection, and a per-column
+//    true-residual verification with scalar-fpcg fallback as the
+//    correctness net.
 #pragma once
 
 #include <optional>

@@ -2,10 +2,12 @@
 // fused SpMM, Preconditioner::apply_many column-equivalence for every
 // registry configuration, block-PCG lockstep equivalence to per-RHS
 // sequential PCG (including deflation on mixed-difficulty right-hand sides),
-// the shared-subspace block flexible PCG, and the Richardson damping fix.
+// the shared-subspace block flexible PCG, non-finite columns stopping the
+// way the scalar drivers stop them, and the Richardson damping fix.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "precond_configs.hpp"
 #include "solver/block_krylov.hpp"
 #include "solver/stationary.hpp"
+#include "thread_sweep.hpp"
 
 namespace {
 
@@ -58,6 +61,21 @@ gnn::DssModel tiny_model() {
   mc.latent = 4;
   mc.hidden = 4;
   return gnn::DssModel(mc, 7);
+}
+
+/// The sequential reference for solve_many: one solve() per right-hand
+/// side, each from a zero guess.
+std::vector<solver::SolveResult> solve_each(
+    const core::SolverSession& session,
+    const std::vector<std::vector<double>>& rhs,
+    std::vector<std::vector<double>>& xs) {
+  std::vector<solver::SolveResult> results;
+  xs.resize(rhs.size());
+  for (std::size_t j = 0; j < rhs.size(); ++j) {
+    xs[j].assign(rhs[j].size(), 0.0);
+    results.push_back(session.solve(rhs[j], xs[j]));
+  }
+  return results;
 }
 
 TEST(MultiVector, FusedKernelsMatchScalarOps) {
@@ -122,7 +140,10 @@ TEST(MultiVector, ApplyManyMatchesPerColumnMultiply) {
   }
 }
 
+// A block apply runs every column through exactly the code of a single
+// apply, so the two agree bit for bit — at 1, 2 and 4 threads.
 TEST(ApplyMany, EqualsLoopedApplyForEveryRegistryEntry) {
+  test::ThreadGuard guard;
   auto [m, prob] = small_problem(5, 900);
   const auto dec =
       partition::decompose_target_size(m.adj_ptr(), m.adj(), 250, 2, 3);
@@ -146,17 +167,18 @@ TEST(ApplyMany, EqualsLoopedApplyForEveryRegistryEntry) {
     if (traits.needs_model) ctx.model = &model;
     const auto p = precond::make_preconditioner(c.name, ctx);
 
-    MultiVector z_block(n, s);
-    p->apply_many(r, z_block);
-    std::vector<double> z_ref(n);
-    for (Index j = 0; j < s; ++j) {
-      p->apply(r.col(j), z_ref);
-      const auto zj = z_block.col(j);
-      double scale = 0.0;
-      for (Index i = 0; i < n; ++i) scale = std::max(scale, std::abs(z_ref[i]));
-      for (Index i = 0; i < n; ++i) {
-        EXPECT_NEAR(zj[i], z_ref[i], 1e-14 * (1.0 + scale))
-            << c.label() << " col " << j << " row " << i;
+    for (const int threads : test::sweep_threads()) {
+      set_num_threads(threads);
+      MultiVector z_block(n, s);
+      p->apply_many(r, z_block);
+      std::vector<double> z_ref(n);
+      for (Index j = 0; j < s; ++j) {
+        p->apply(r.col(j), z_ref);
+        const auto zj = z_block.col(j);
+        for (Index i = 0; i < n; ++i) {
+          ASSERT_EQ(zj[i], z_ref[i]) << c.label() << " threads " << threads
+                                     << " col " << j << " row " << i;
+        }
       }
     }
   }
@@ -183,11 +205,8 @@ TEST(BlockPcg, MatchesSequentialPcgPerColumnWithDeflation) {
   std::vector<std::vector<double>> xs_block;
   const auto block_results = block_session.solve_many(rhs, xs_block);
 
-  cfg.block_multi_rhs = false;
-  core::SolverSession seq_session;
-  seq_session.setup(m, prob, cfg);
   std::vector<std::vector<double>> xs_seq;
-  const auto seq_results = seq_session.solve_many(rhs, xs_seq);
+  const auto seq_results = solve_each(block_session, rhs, xs_seq);
 
   ASSERT_EQ(block_results.size(), 4u);
   for (std::size_t j = 0; j < 4; ++j) {
@@ -240,11 +259,8 @@ TEST(BlockFpcg, SharedSubspaceConvergesEveryColumn) {
   std::vector<std::vector<double>> xs;
   const auto results = session.solve_many(rhs, xs);
 
-  cfg.block_multi_rhs = false;
-  core::SolverSession seq_session;
-  seq_session.setup(m, prob, cfg);
   std::vector<std::vector<double>> xs_seq;
-  const auto seq_results = seq_session.solve_many(rhs, xs_seq);
+  const auto seq_results = solve_each(session, rhs, xs_seq);
 
   int max_block = 0, max_seq = 0;
   for (std::size_t j = 0; j < rhs.size(); ++j) {
@@ -258,6 +274,59 @@ TEST(BlockFpcg, SharedSubspaceConvergesEveryColumn) {
   // hardest column needs alone (each column minimizes over a superset of
   // its own directions).
   EXPECT_LE(max_block, max_seq + 1);
+}
+
+// A NaN right-hand side stops a block solve's column exactly where the
+// scalar drivers stop it — after 0 iterations, unconverged, failure "nan" —
+// and the finite columns beside it are untouched: for the lockstep drivers
+// (block CG, block PCG) they match their scalar solves bit for bit.
+TEST(BlockSolve, NanColumnStopsLikeTheScalarSolve) {
+  auto [m, prob] = small_problem(19, 1400);
+  const std::size_t n = prob.b.size();
+  std::vector<std::vector<double>> rhs{
+      prob.b, std::vector<double>(n, std::nan("")), random_vector(n, 77)};
+
+  struct Case {
+    std::string preconditioner;
+    std::optional<solver::KrylovMethod> method;
+    bool lockstep;
+  };
+  const std::vector<Case> cases{
+      {"none", std::nullopt, true},                      // block CG
+      {"ddm-lu", std::nullopt, true},                    // block PCG
+      {"ddm-lu", solver::KrylovMethod::kFpcg, false}};   // block FPCG
+  for (const Case& c : cases) {
+    core::HybridConfig cfg;
+    cfg.preconditioner = c.preconditioner;
+    cfg.method = c.method;
+    cfg.subdomain_target_nodes = 300;
+    cfg.max_iterations = 2000;
+    core::SolverSession session;
+    session.setup(m, prob, cfg);
+    const std::string label =
+        c.preconditioner + " " + solver::krylov_method_name(session.method());
+
+    std::vector<std::vector<double>> xs_block, xs_seq;
+    const auto block = session.solve_many(rhs, xs_block);
+    const auto seq = solve_each(session, rhs, xs_seq);
+    ASSERT_EQ(block.size(), rhs.size()) << label;
+
+    EXPECT_EQ(seq[1].iterations, 0) << label;
+    EXPECT_EQ(block[1].iterations, seq[1].iterations) << label;
+    EXPECT_FALSE(block[1].converged) << label;
+    EXPECT_EQ(block[1].failure, seq[1].failure) << label;
+    EXPECT_EQ(block[1].failure, obs::FailureReason::kNan) << label;
+
+    for (const std::size_t j : {std::size_t{0}, std::size_t{2}}) {
+      EXPECT_TRUE(block[j].converged) << label << " col " << j;
+      if (!c.lockstep) continue;
+      EXPECT_EQ(block[j].iterations, seq[j].iterations) << label << " col " << j;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(xs_block[j][i], xs_seq[j][i])
+            << label << " col " << j << " row " << i;
+      }
+    }
+  }
 }
 
 TEST(Richardson, PowerIterationDampingTamesDivergence) {

@@ -3,8 +3,8 @@
 // threads, so
 //   * concurrent solve / solve_many on a shared session must be bitwise
 //     identical to the same solves run serially — for EVERY registry entry,
-//     including both DDM-GNN variants whose scratch (DSS workspaces, merged
-//     shard plans) was the original data race;
+//     including both DDM-GNN variants whose scratch (DSS workspaces) was the
+//     original data race;
 //   * concurrent preconditioner applies with distinct workspaces must match
 //     the serial apply bit for bit;
 //   * SessionCache::get_or_setup must collapse a cold-key stampede into
@@ -154,8 +154,8 @@ TEST(ConcurrentSolve, SharedSessionMatchesSerialBitwiseForEveryEntry) {
 
 // Mixed serving traffic on one shared DDM-GNN session: some clients issue
 // single solves, others batched solve_many calls with *different* column
-// counts — which exercises the shard-plan cache (one immutable plan per
-// column count, built once, shared read-only) under real contention.
+// counts — every client's block applies run the shared solver's local
+// solves through its own lane workspaces, under real contention.
 TEST(ConcurrentSolve, MixedSingleAndBlockTrafficOnSharedGnnSession) {
   auto [m, prob] = small_problem(7, 600);
   const gnn::DssModel model = tiny_model();

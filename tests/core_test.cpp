@@ -169,10 +169,10 @@ TEST(DdmGnn, EndToEndPcgConvergesOnFreshProblem) {
 TEST(DdmGnn, BatchedSolveManyConvergesEveryColumn) {
   // The batched multi-RHS engine end-to-end with a trained model: three
   // right-hand sides through ONE block flexible-PCG run whose every
-  // preconditioner application is a disjoint-union DSS inference over all
-  // columns × subdomains. Every column must meet the tolerance, and the
-  // shared search space must not need more block iterations than the
-  // sequential loop needs for its hardest column.
+  // preconditioner application runs the DSS inferences of all columns ×
+  // subdomains in one parallel region. Every column must meet the
+  // tolerance, and the shared search space must not need more block
+  // iterations than the sequential loop needs for its hardest column.
   const auto& env = TrainedModelEnv::instance();
   auto [m, prob] = fresh_problem(4321, 1500);
   core::HybridConfig cfg;
@@ -204,14 +204,11 @@ TEST(DdmGnn, BatchedSolveManyConvergesEveryColumn) {
     max_block = std::max(max_block, results[j].iterations);
   }
 
-  core::HybridConfig seq_cfg = cfg;
-  seq_cfg.block_multi_rhs = false;
-  core::SolverSession seq_session;
-  seq_session.setup(m, prob, seq_cfg);
-  std::vector<std::vector<double>> xs_seq;
-  const auto seq_results = seq_session.solve_many(rhs, xs_seq);
+  // The sequential reference: one solve() per right-hand side.
   int max_seq = 0;
-  for (const auto& r : seq_results) {
+  for (const auto& b : rhs) {
+    std::vector<double> x(b.size(), 0.0);
+    const auto r = session.solve(b, x);
     EXPECT_TRUE(r.converged);
     max_seq = std::max(max_seq, r.iterations);
   }
@@ -256,6 +253,7 @@ TEST(DdmGnn, LocalSolveIsScaleEquivariantWithNormalization) {
   Rng rng(12);
   std::vector<std::vector<double>> r1(dec.num_parts), r2(dec.num_parts);
   std::vector<std::vector<double>> z1(dec.num_parts), z2(dec.num_parts);
+  const auto ws = solver.make_workspace();
   for (Index i = 0; i < dec.num_parts; ++i) {
     r1[i].resize(dec.subdomains[i].size());
     for (double& v : r1[i]) v = rng.uniform(-1, 1);
@@ -263,10 +261,9 @@ TEST(DdmGnn, LocalSolveIsScaleEquivariantWithNormalization) {
     for (double& v : r2[i]) v *= 1e-8;  // tiny residual, as at convergence
     z1[i].resize(r1[i].size());
     z2[i].resize(r1[i].size());
+    solver.solve(i, r1[i], z1[i], ws.get());
+    solver.solve(i, r2[i], z2[i], ws.get());
   }
-  const auto ws = solver.make_workspace();
-  solver.solve_all(r1, z1, ws.get());
-  solver.solve_all(r2, z2, ws.get());
   for (Index i = 0; i < dec.num_parts; ++i) {
     for (std::size_t j = 0; j < z1[i].size(); ++j) {
       EXPECT_NEAR(z2[i][j], 1e-8 * z1[i][j],
@@ -287,12 +284,12 @@ TEST(DdmGnn, ZeroResidualYieldsZeroCorrection) {
   }
   solver.setup(std::move(blocks), dec);
   std::vector<std::vector<double>> r(dec.num_parts), z(dec.num_parts);
+  const auto ws = solver.make_workspace();
   for (Index i = 0; i < dec.num_parts; ++i) {
     r[i].assign(dec.subdomains[i].size(), 0.0);
     z[i].resize(r[i].size());
+    solver.solve(i, r[i], z[i], ws.get());
   }
-  const auto ws = solver.make_workspace();
-  solver.solve_all(r, z, ws.get());
   for (const auto& zi : z) {
     for (const double v : zi) EXPECT_EQ(v, 0.0);
   }

@@ -1,8 +1,8 @@
 // Multi-level hierarchy tests: build determinism across thread counts,
-// V-cycle apply determinism and block/scalar bitwise equivalence,
-// convergence of the 3-level method and the W-cycle/Chebyshev variants,
-// dense-factor shrinkage vs the one-shot Nicolaides coarse solve, and
-// concurrent applies of one shared cycle (the TSan-meaningful test).
+// V-cycle apply determinism, convergence of the 3-level method and the
+// W-cycle/Chebyshev variants, dense-factor shrinkage vs the one-shot
+// Nicolaides coarse solve, and concurrent applies of one shared cycle (the
+// TSan-meaningful test).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,43 +13,21 @@
 #include "common/rng.hpp"
 #include "core/solver_session.hpp"
 #include "fem/poisson.hpp"
-#include "la/multivector.hpp"
 #include "mesh/generator.hpp"
 #include "mg/hierarchy.hpp"
 #include "mg/vcycle.hpp"
 #include "partition/coarse_space.hpp"
 #include "partition/decomposition.hpp"
 #include "precond/asm_precond.hpp"
-
-#if defined(__SANITIZE_THREAD__)
-#define DDMGNN_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DDMGNN_TSAN 1
-#endif
-#endif
+#include "thread_sweep.hpp"
 
 namespace {
 
 using namespace ddmgnn;
 using la::Index;
 using mesh::Point2;
-
-// Restore the ambient thread count when a test returns.
-struct ThreadGuard {
-  ~ThreadGuard() { set_num_threads(0); }
-};
-
-// Thread counts the determinism sweeps cover. Under TSan the CI pins
-// DDMGNN_THREADS=1 (libgomp is un-instrumented), so only the serial point
-// runs there; the std::thread concurrency test below is the TSan content.
-std::vector<int> sweep_threads() {
-#ifdef DDMGNN_TSAN
-  return {1};
-#else
-  return {1, 2, 4};
-#endif
-}
+using test::sweep_threads;
+using test::ThreadGuard;
 
 struct Fixture {
   mesh::Mesh m;
@@ -133,41 +111,6 @@ TEST(VCycle, ApplyIsBitwiseDeterministicAcrossThreadCounts) {
     std::vector<double> z(n, 0.0);
     cycle.apply_add(r, z);
     EXPECT_TRUE(bitwise_equal(z, z_ref)) << "threads=" << t;
-  }
-}
-
-TEST(VCycle, ApplyAddManyMatchesColumnwiseApplyAddBitwise) {
-  const Fixture f = make_fixture(94, 0.045, 12);
-  mg::HierarchyOptions opts;
-  opts.levels = 2;
-  opts.aggregate_target = 4;
-  opts.min_coarse_rows = 2;
-  for (const bool w : {false, true}) {
-    for (const mg::Smoother s :
-         {mg::Smoother::kJacobi, mg::Smoother::kChebyshev}) {
-      mg::CycleConfig cc;
-      cc.w_cycle = w;
-      cc.smoother = s;
-      cc.smooth_steps = 2;
-      const mg::VCycle cycle(mg::build_hierarchy(f.prob.A, f.dec, opts), cc);
-      const Index n = f.m.num_nodes();
-      const Index cols = 3;
-      Rng rng(95);
-      la::MultiVector r(n, cols), z(n, cols);
-      for (Index j = 0; j < cols; ++j) {
-        for (double& v : r.col(j)) v = rng.uniform(-1, 1);
-        for (double& v : z.col(j)) v = rng.uniform(-1, 1);
-      }
-      la::MultiVector z_blk = z;
-      cycle.apply_add_many(r, z_blk);
-      for (Index j = 0; j < cols; ++j) {
-        std::vector<double> zc(z.col(j).begin(), z.col(j).end());
-        cycle.apply_add(r.col(j), zc);
-        EXPECT_TRUE(bitwise_equal(z_blk.col(j), zc))
-            << "w=" << w << " smoother=" << static_cast<int>(s)
-            << " col=" << j;
-      }
-    }
   }
 }
 

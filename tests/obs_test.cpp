@@ -349,7 +349,6 @@ TEST(ObsReconcile, BlockSolvePrecondSecondsMatchSpans) {
   core::HybridConfig cfg;
   cfg.preconditioner = "ddm-lu";
   cfg.rel_tol = 1e-8;
-  cfg.block_multi_rhs = true;
   core::SolverSession session;
   session.setup(m, prob, cfg);
 

@@ -4,13 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <set>
 
 #include "common/rng.hpp"
 #include "fem/poisson.hpp"
 #include "la/dense.hpp"
-#include "la/multivector.hpp"
 #include "la/vector_ops.hpp"
 #include "mesh/generator.hpp"
 #include "partition/aggregate.hpp"
@@ -173,35 +171,6 @@ TEST(CoarseSpace, RestrictionOfConstantResidualScalesWithSubdomainMass) {
   for (const double v : rc) total += v;
   // Partition of unity: Σ_i (R0 1)_i = N.
   EXPECT_NEAR(total, static_cast<double>(m.num_nodes()), 1e-9);
-}
-
-TEST(CoarseSpace, ApplyAddManyMatchesColumnwiseApplyAddBitwise) {
-  const mesh::Mesh m = mesh::generate_mesh(mesh::random_domain(41), 0.07, 41);
-  const auto prob = fem::assemble_poisson(
-      m, [](const Point2&) { return 1.0; }, [](const Point2&) { return 0.0; });
-  const auto dec = partition::decompose(m.adj_ptr(), m.adj(), 6, 2, 41);
-  const partition::NicolaidesCoarseSpace cs(prob.A, dec);
-  const Index n = m.num_nodes();
-  const Index cols = 4;
-  Rng rng(42);
-  la::MultiVector r(n, cols), z(n, cols);
-  for (Index j = 0; j < cols; ++j) {
-    for (double& v : r.col(j)) v = rng.uniform(-1, 1);
-    for (double& v : z.col(j)) v = rng.uniform(-1, 1);  // accumulates into z
-  }
-  la::MultiVector z_blk = z;
-  cs.apply_add_many(r, z_blk);
-  for (Index j = 0; j < cols; ++j) {
-    std::vector<double> zc(z.col(j).begin(), z.col(j).end());
-    cs.apply_add(r.col(j), zc);
-    // The CoarseComponent contract: the block path is column-for-column
-    // bitwise identical to the scalar path (block Krylov lockstep relies
-    // on it through the whole ASM + coarse chain).
-    EXPECT_EQ(std::memcmp(z_blk.col(j).data(), zc.data(),
-                          zc.size() * sizeof(double)),
-              0)
-        << "column " << j;
-  }
 }
 
 TEST(Aggregate, CoversEveryNodeWithDenseAggregateIds) {

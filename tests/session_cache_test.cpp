@@ -256,10 +256,13 @@ TEST(SessionCache, CachedSessionPassesBlockVsSequentialEquivalence) {
     }
   }
 
-  std::vector<std::vector<double>> xs_seq, xs_blk;
-  session->set_block_multi_rhs(false);
-  const auto res_seq = session->solve_many(rhs, xs_seq);
-  session->set_block_multi_rhs(true);
+  // The sequential reference: one solve() per right-hand side.
+  std::vector<std::vector<double>> xs_seq(rhs.size()), xs_blk;
+  std::vector<solver::SolveResult> res_seq;
+  for (std::size_t j = 0; j < rhs.size(); ++j) {
+    xs_seq[j].assign(rhs[j].size(), 0.0);
+    res_seq.push_back(session->solve(rhs[j], xs_seq[j]));
+  }
   const auto res_blk = session->solve_many(rhs, xs_blk);
   ASSERT_EQ(res_seq.size(), rhs.size());
   ASSERT_EQ(res_blk.size(), rhs.size());
