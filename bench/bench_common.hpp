@@ -13,17 +13,13 @@
 #include <vector>
 
 #include <cstring>
-#include <optional>
 
 #include "common/error.hpp"
 #include "common/options.hpp"
 #include "common/parallel.hpp"
-#include "common/rng.hpp"
 #include "core/solver_session.hpp"
 #include "fem/poisson.hpp"
-#include "la/mm_io.hpp"
 #include "mesh/generator.hpp"
-#include "obs/metrics.hpp"
 
 namespace ddmgnn::bench {
 
@@ -50,59 +46,6 @@ inline std::string pm(const Stats& s, int width = 0) {
   return buf;
 }
 
-/// The latency quantiles every serving-style bench reports, in seconds.
-struct Percentiles {
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
-
-/// Exact sample percentiles (nearest-rank on a sorted copy). Use when the
-/// bench holds every individual latency; prefer the Histogram overload when
-/// samples were only accumulated into buckets.
-inline Percentiles percentiles_of(std::vector<double> xs) {
-  Percentiles p;
-  if (xs.empty()) return p;
-  std::sort(xs.begin(), xs.end());
-  const auto at = [&](double q) {
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(xs.size())));
-    return xs[std::min(xs.size() - 1, rank == 0 ? 0 : rank - 1)];
-  };
-  p.p50 = at(0.50);
-  p.p95 = at(0.95);
-  p.p99 = at(0.99);
-  return p;
-}
-
-/// Bucket-interpolated percentiles from an obs histogram (the concurrent
-/// accumulation path: clients observe into the histogram, the bench reads
-/// quantiles after joining).
-inline Percentiles percentiles_of(const obs::Histogram& h) {
-  return {h.quantile(0.50), h.quantile(0.95), h.quantile(0.99)};
-}
-
-/// Seeded Poisson-process arrival offsets: `count` times (seconds from the
-/// trace start, strictly increasing) with exponential inter-arrivals at
-/// `rate_per_sec`. The open-loop load generator for service benches —
-/// arrivals are scheduled up front, so a slow server cannot slow the
-/// offered load (no coordinated omission).
-inline std::vector<double> poisson_arrivals(double rate_per_sec, int count,
-                                            std::uint64_t seed) {
-  DDMGNN_CHECK(rate_per_sec > 0.0, "poisson_arrivals: rate must be > 0");
-  Rng rng(seed);
-  std::vector<double> at;
-  at.reserve(static_cast<std::size_t>(count));
-  double t = 0.0;
-  for (int i = 0; i < count; ++i) {
-    double u = rng.uniform();
-    while (u <= 1e-300) u = rng.uniform();
-    t += -std::log(u) / rate_per_sec;
-    at.push_back(t);
-  }
-  return at;
-}
-
 struct Problem {
   mesh::Mesh m;
   fem::PoissonProblem prob;
@@ -126,29 +69,6 @@ inline Problem make_problem(la::Index target_nodes, std::uint64_t seed) {
       [&](const mesh::Point2& p) { return q.g(p); });
   return {std::move(m), std::move(prob)};
 }
-
-/// A bench problem from either source: the generated FEM mesh (default) or
-/// an external MatrixMarket operator (`--matrix file.mtx`, optional
-/// `--rhs b.mtx`). `mesh` is engaged only for the FEM source; matrix-sourced
-/// problems run through the session's algebraic setup path. `source` feeds
-/// the JSON records so perf trajectories can tell operators apart.
-struct AnyProblem {
-  std::optional<mesh::Mesh> mesh;
-  fem::PoissonProblem prob;
-  std::string source;  // "fem" or the --matrix path
-
-  la::Index num_nodes() const { return prob.A.rows(); }
-
-  /// setup() through the right path for this problem's source.
-  void setup_session(core::SolverSession& session,
-                     const core::HybridConfig& cfg) const {
-    if (mesh.has_value()) {
-      session.setup(*mesh, prob, cfg);
-    } else {
-      session.setup(prob.A, cfg);
-    }
-  }
-};
 
 /// Value-less boolean flag (e.g. `--require-converged`).
 inline bool has_flag(int argc, char** argv, const char* name) {
@@ -176,44 +96,8 @@ inline int apply_thread_flag(int argc, char** argv) {
   return num_threads();
 }
 
-/// `--matrix file.mtx [--rhs b.mtx]` when present, else the generated FEM
-/// problem at `target_nodes`. Matrix mode defaults the right-hand side to
-/// A·1 (manufactured all-ones solution) and an empty Dirichlet mask.
-inline AnyProblem load_or_make_problem(int argc, char** argv,
-                                       la::Index target_nodes,
-                                       std::uint64_t seed) {
-  AnyProblem out;
-  const char* matrix_path = find_flag(argc, argv, "--matrix");
-  if (matrix_path == nullptr) {
-    auto [m, prob] = make_problem(target_nodes, seed);
-    out.mesh = std::move(m);
-    out.prob = std::move(prob);
-    out.source = "fem";
-    return out;
-  }
-  out.prob.A = la::mm::read_matrix(matrix_path);
-  DDMGNN_CHECK(out.prob.A.rows() == out.prob.A.cols(),
-               std::string("--matrix ") + matrix_path +
-                   ": operator must be square");
-  const char* rhs_path = find_flag(argc, argv, "--rhs");
-  if (rhs_path != nullptr) {
-    out.prob.b = la::mm::read_vector(rhs_path);
-    DDMGNN_CHECK(out.prob.b.size() ==
-                     static_cast<std::size_t>(out.prob.A.rows()),
-                 std::string("--rhs ") + rhs_path +
-                     ": size does not match the operator");
-  } else {
-    const std::vector<double> ones(out.prob.A.rows(), 1.0);
-    out.prob.b = out.prob.A.apply(ones);
-  }
-  out.prob.dirichlet.assign(out.prob.A.rows(), 0);
-  out.source = matrix_path;
-  return out;
-}
-
 /// One-shot setup+solve (from a zero guess) for benches that genuinely solve
-/// each system once. Benches that serve repeated right-hand sides
-/// (bench_setup_amortization) hold a SolverSession themselves instead.
+/// each system once.
 struct RunReport {
   solver::SolveResult result;
   la::Index num_subdomains = 0;  // K (0 when no decomposition involved)

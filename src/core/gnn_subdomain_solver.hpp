@@ -111,9 +111,6 @@ class GnnSubdomainSolver final : public precond::SubdomainSolver {
   /// A neural local solve is not a symmetric linear map.
   bool is_symmetric() const override { return false; }
 
-  const std::vector<std::shared_ptr<gnn::GraphTopology>>& topologies() const {
-    return topologies_;
-  }
   /// Per-topology attr-projection caches (empty entries when the model runs
   /// the reference inference path). Built at setup() against the model's
   /// then-current parameters — the solver assumes a frozen trained model.
@@ -121,11 +118,8 @@ class GnnSubdomainSolver final : public precond::SubdomainSolver {
       const {
     return edge_caches_;
   }
-  /// Adaptive-setup outcome. refinement_schedule()[i] is subdomain i's chosen
-  /// pass count (ignore entries with a fallback); empty when
-  /// adaptive_refinement is off. fallback_count() is the number of
-  /// subdomains served by the exact Cholesky fallback.
-  const std::vector<int>& refinement_schedule() const { return refine_steps_; }
+  /// Adaptive-setup outcome: the number of subdomains served by the exact
+  /// Cholesky fallback (0 when adaptive_refinement is off).
   la::Index fallback_count() const { return fallback_count_; }
 
  private:

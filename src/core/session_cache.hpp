@@ -3,7 +3,7 @@
 // per-tenant operators) hit the same operators again and again — a cache hit
 // returns the already-prepared session and skips the entire setup phase
 // (partitioning, factorizations, DSS graph construction, coarse space),
-// which bench_setup_amortization shows is many solves' worth of work.
+// whose cost perfbench reports as setup_s next to each workload's solve_s.
 //
 // Keying: a 64-bit FNV-1a fingerprint over the operator's CSR arrays, the
 // extra algebraic structure (dirichlet mask, coordinates) and every

@@ -117,21 +117,11 @@ std::optional<std::future<SolveService::Reply>> SolveService::submit(
     DDMGNN_CHECK(req.x0.empty() || req.x0.size() == n,
                  "SolveService::submit: x0 size does not match the operator");
     if (state.queue.size() >= cfg_.queue_capacity) {
-      if (policy == AdmissionPolicy::kReject) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metrics_enabled()) {
-          ServiceMetrics::instance().rejected.inc();
-        }
-        obs::instant("service.reject");
-        return std::nullopt;
-      }
+      if (policy == AdmissionPolicy::kReject) return reject();
       space_cv_.wait(lock, [&] {
         return stopping_ || state.queue.size() < cfg_.queue_capacity;
       });
-      if (stopping_) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-      }
+      if (stopping_) return reject();
     }
     state.queue.push_back(std::move(req));
     ++queued_;
@@ -144,6 +134,13 @@ std::optional<std::future<SolveService::Reply>> SolveService::submit(
   }
   work_cv_.notify_one();
   return fut;
+}
+
+std::nullopt_t SolveService::reject() {
+  rejected_.fetch_add(1, std::memory_order_relaxed);
+  if (obs::metrics_enabled()) ServiceMetrics::instance().rejected.inc();
+  obs::instant("service.reject");
+  return std::nullopt;
 }
 
 std::optional<std::pair<std::size_t, std::vector<SolveService::Request>>>

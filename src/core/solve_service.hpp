@@ -121,8 +121,8 @@ class SolveService {
     /// Columns in the window that served this request (1 = unbatched).
     int batch_columns = 1;
     /// Completion stamp on the steady clock — set just before the future is
-    /// fulfilled, so open-loop benches can measure scheduled-arrival →
-    /// completion latency without coordinated omission.
+    /// fulfilled, so a client measures submit → completion latency without
+    /// its own delay in collecting the future (perfbench's serve-batch-8).
     std::chrono::steady_clock::time_point completed_at;
   };
 
@@ -204,6 +204,9 @@ class SolveService {
   };
 
   OperatorKey key_for_session(std::shared_ptr<SolverSession> session);
+  /// Counts one refused submit (a full queue under kReject, or a blocked
+  /// submit woken by shutdown()) in stats(), the registry and the trace.
+  std::nullopt_t reject();
   void worker_loop();
   /// Pops the ready window with the most urgent close_by under mu_;
   /// nullopt when nothing is due yet (deadline_out = when to re-check).

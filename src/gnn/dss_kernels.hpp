@@ -53,7 +53,7 @@ struct DssEdgeCache {
 };
 
 /// Wall-clock seconds per phase of one (or many, accumulated) fast forward
-/// passes — the bench_precond_apply breakdown.
+/// passes — what record_phase_profile turns into the dss.* metrics and spans.
 struct DssPhaseProfile {
   double projection = 0.0;  ///< node/edge GEMMs of the message MLPs
   double gather = 0.0;      ///< always 0: the gather runs inside aggregate

@@ -92,7 +92,7 @@ class DssModel {
 
   const DssConfig& config() const { return cfg_; }
   /// Flip between the factorized engine and the scalar reference path
-  /// (benches and the equivalence tests A/B the two on one binary).
+  /// (the equivalence tests A/B the two on one binary).
   void set_fast_inference(bool fast) { cfg_.fast_inference = fast; }
   std::size_t num_params() const { return store_.size(); }
   std::span<float> params() { return store_.values(); }

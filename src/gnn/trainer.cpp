@@ -48,14 +48,16 @@ TrainReport train_dss(DssModel& model, const std::vector<GraphSample>& train,
         std::fill(thread_grads[t].begin(), thread_grads[t].end(), 0.0f);
         thread_loss[t] = 0.0;
       }
-#pragma omp parallel for schedule(dynamic, 1) num_threads(nthreads)
+      // Static schedule: which samples sum into which partial depends only
+      // on the thread count, so training is reproducible at a fixed count.
+#pragma omp parallel for schedule(static) num_threads(nthreads)
       for (long i = 0; i < bsz; ++i) {
         const int tid = omp_get_thread_num();
         const GraphSample& sample = train[order[start + i]];
         thread_loss[tid] += model.loss_and_gradient(
             sample, thread_ws[tid], thread_grads[tid].data());
       }
-      // Deterministic reduction: thread 0..T-1 in order.
+      // Reduce the partials in thread order 0..T-1.
       std::fill(grads.begin(), grads.end(), 0.0f);
       double batch_loss = 0.0;
       for (int t = 0; t < nthreads; ++t) {
@@ -106,7 +108,7 @@ double mean_residual_loss(const DssModel& model,
   const int nthreads = num_threads();
   std::vector<DssWorkspace> ws(nthreads);
   std::vector<double> acc(nthreads, 0.0);
-#pragma omp parallel for schedule(dynamic, 1) num_threads(nthreads)
+#pragma omp parallel for schedule(static) num_threads(nthreads)
   for (long i = 0; i < static_cast<long>(samples.size()); ++i) {
     const int tid = omp_get_thread_num();
     acc[tid] += model.final_residual_loss(samples[i], ws[tid]);

@@ -1,7 +1,8 @@
 // Physics-informed training loop for the DSS model (paper §IV-B): Adam with
 // lr 1e-2, batch training with global-norm gradient clipping, and a
 // ReduceLROnPlateau schedule. Batches are data-parallel across OpenMP threads
-// with per-thread gradient buffers (deterministic reduction order).
+// with per-thread gradient buffers, statically scheduled and reduced in thread
+// order, so a fixed seed and thread count give bitwise identical training.
 //
 // Because this repository trains on CPUs instead of the paper's 2×P100, the
 // trainer accepts a wall-clock budget: it stops at min(epochs, budget) and

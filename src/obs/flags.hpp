@@ -1,7 +1,7 @@
 // Process-wide telemetry toggles. All three default OFF so the instrumented
 // hot paths (Krylov iterations, AdditiveSchwarz::apply, DSS forwards) pay only
 // a relaxed atomic load per check — the "near-zero overhead when disabled"
-// contract bench_precond_apply's <2% regression gate enforces.
+// contract obs_test's ObsTrace.DisabledModeOverheadGuard checks.
 //
 //   metrics   — counters / gauges / histograms in obs::Registry
 //   trace     — obs::Span events into obs::TraceRecorder ring buffers

@@ -9,7 +9,7 @@
 //
 // Instruments may carry a label string ("precond=ddm-gnn,clients=8"); the
 // full identity is "name{labels}". snapshot_json() exports everything in one
-// deterministic JSON document (what bench_serving --metrics writes).
+// deterministic JSON document (what solve_poisson --metrics writes).
 //
 // Canonical metric names are documented in the README "Observability"
 // section; dominant_phase() below knows the apply-phase subset ("asm.*" /

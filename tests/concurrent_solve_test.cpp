@@ -7,6 +7,9 @@
 //     original data race;
 //   * concurrent preconditioner applies with distinct workspaces must match
 //     the serial apply bit for bit;
+//   * the served ddm-gnn configuration, fetched through one SessionCache by
+//     clients mixing solve and solve_many, must converge on every column and
+//     match the serial calls bit for bit;
 //   * SessionCache::get_or_setup must collapse a cold-key stampede into
 //     exactly one setup (1 miss + N−1 hits) and stay correct when eviction
 //     races in-flight holders.
@@ -201,6 +204,62 @@ TEST(ConcurrentSolve, MixedSingleAndBlockTrafficOnSharedGnnSession) {
         ASSERT_EQ(xs_conc[t][j][i], xs_serial[t][j][i])
             << t << ":" << j << ":" << i;
       }
+    }
+  }
+}
+
+// The served ddm-gnn configuration (adaptive setup + fp32 applies, untrained
+// paper-shape model) under cross-client traffic: four clients fetch one
+// session through one SessionCache, two run single solves and two run
+// 4-RHS solve_many calls. Every column must converge to a verified true
+// residual and match the same calls run serially bit for bit.
+TEST(ConcurrentSolve, ServedGnnConfigClientsShareOneCachedSession) {
+  auto [m, prob] = small_problem(7, 800);
+  const gnn::DssModel model(gnn::DssConfig{}, 3);
+  const core::HybridConfig cfg = test::served_config(model);
+  core::SessionCache cache(1u << 30);
+  const std::size_t n = prob.b.size();
+
+  const int kThreads = 4;
+  // Even clients solve one right-hand side, odd clients a block of four.
+  std::vector<std::vector<std::vector<double>>> rhs(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    rhs[t].resize(t % 2 == 0 ? 1 : 4);
+    for (std::size_t j = 0; j < rhs[t].size(); ++j) {
+      rhs[t][j] = random_vector(n, 900 + 10 * t + j);
+    }
+  }
+  using Results = std::vector<solver::SolveResult>;
+  using Solutions = std::vector<std::vector<double>>;
+  const auto client = [&](int t, Results& res, Solutions& xs) {
+    auto session = cache.get_or_setup(m, prob, cfg);
+    if (rhs[t].size() == 1) {
+      xs.assign(1, std::vector<double>(n, 0.0));
+      res = {session->solve(rhs[t][0], xs[0])};
+    } else {
+      res = session->solve_many(rhs[t], xs);
+    }
+  };
+
+  std::vector<Results> r_serial(kThreads), r_conc(kThreads);
+  std::vector<Solutions> xs_serial(kThreads), xs_conc(kThreads);
+  for (int t = 0; t < kThreads; ++t) client(t, r_serial[t], xs_serial[t]);
+  SpinBarrier barrier(kThreads);
+  run_threads(kThreads, [&](int t) {
+    barrier.arrive_and_wait();
+    client(t, r_conc[t], xs_conc[t]);
+  });
+
+  EXPECT_EQ(cache.stats().misses, 1u);
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(r_conc[t].size(), rhs[t].size()) << t;
+    for (std::size_t j = 0; j < rhs[t].size(); ++j) {
+      EXPECT_TRUE(r_conc[t][j].converged) << t << ":" << j;
+      EXPECT_LT(fem::relative_residual(prob.A, rhs[t][j], xs_conc[t][j]), 1e-5)
+          << t << ":" << j;
+      EXPECT_EQ(r_conc[t][j].iterations, r_serial[t][j].iterations)
+          << t << ":" << j;
+      ASSERT_EQ(xs_conc[t][j], xs_serial[t][j]) << t << ":" << j;
     }
   }
 }

@@ -1,13 +1,15 @@
 // DSS model tests: graph construction rules, parameter-count parity with the
 // paper's Table II, full-model finite-difference gradient check, training
-// loss descent, serialization round-trip, metric sanity.
+// loss descent and reproducibility, serialization round-trip, metric sanity.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "common/rng.hpp"
+#include "core/dataset.hpp"
 #include "gnn/dss_model.hpp"
 #include "gnn/graph.hpp"
 #include "gnn/metrics.hpp"
@@ -16,6 +18,7 @@
 #include "la/csr.hpp"
 #include "la/vector_ops.hpp"
 #include "mesh/geometry.hpp"
+#include "thread_sweep.hpp"
 
 namespace {
 
@@ -243,6 +246,45 @@ TEST(Trainer, LossDecreasesOnTinyDataset) {
   const double after = gnn::mean_residual_loss(model, train);
   EXPECT_LT(after, 0.7 * before);
   EXPECT_LT(report.epoch_loss.back(), report.epoch_loss.front());
+}
+
+// Two trainings with the same seed at the same thread count give the same
+// bits: every batch sums each sample into the same per-thread partial, and
+// the validation loss the plateau scheduler reads is reduced the same way.
+TEST(Trainer, TrainingIsBitwiseReproducibleAtFixedThreadCount) {
+  const test::ThreadGuard guard;
+  set_num_threads(4);
+  core::DatasetConfig dc;
+  dc.num_global_problems = 1;
+  dc.mesh_target_nodes = 1200;
+  dc.subdomain_target_nodes = 150;
+  dc.max_samples = 120;
+  const core::DssDataset data = core::generate_dataset(dc);
+  ASSERT_GE(data.train.size(), 48u);
+  ASSERT_FALSE(data.validation.empty());
+
+  gnn::DssConfig mc;
+  mc.iterations = 3;
+  mc.latent = 6;
+  mc.hidden = 8;
+  gnn::TrainConfig tc;
+  tc.epochs = 2;
+  tc.batch_size = 48;
+  tc.seed = 5;
+  const auto train = [&](gnn::DssModel& model) {
+    return gnn::train_dss(model, data.train, data.validation, tc);
+  };
+  gnn::DssModel a(mc, 11);
+  gnn::DssModel b(mc, 11);
+  const auto ra = train(a);
+  const auto rb = train(b);
+  ASSERT_EQ(ra.validation_loss.size(), 2u);
+  EXPECT_EQ(ra.validation_loss, rb.validation_loss);
+  EXPECT_EQ(ra.epoch_loss, rb.epoch_loss);
+  ASSERT_EQ(a.num_params(), b.num_params());
+  EXPECT_EQ(std::memcmp(a.params().data(), b.params().data(),
+                        a.num_params() * sizeof(float)),
+            0);
 }
 
 TEST(ModelIo, RoundTripPreservesModel) {

@@ -1,10 +1,10 @@
-// Serving-configuration convergence suite (the bench_serving bugfix):
-//   - the cached-session ddm-gnn configuration at bench smoke scale —
+// Serving-configuration convergence suite:
+//   - the cached-session served ddm-gnn configuration on an 800-node mesh —
 //     adaptive refine-until-contractive setup + mixed-precision applies on
 //     an UNTRAINED model — converges on every solve. The untrained model is
-//     the worst case the serving bench used to fail on: the adaptive setup
-//     must detect the non-contractive subdomains and rescue them with the
-//     exact Cholesky fallback.
+//     the worst case for serving: the adaptive setup must detect the
+//     non-contractive subdomains and rescue them with the exact Cholesky
+//     fallback.
 //   - the DSS forward (aggregate-then-project message layers) is BITWISE
 //     identical at any thread count, and agrees with a three-step oracle —
 //     gather / layer-2 GEMM over every edge / segmented aggregate — to float
@@ -31,6 +31,7 @@
 #include "mesh/generator.hpp"
 #include "nn/mlp.hpp"
 #include "obs/forensics.hpp"
+#include "precond_configs.hpp"
 #include "solver/krylov.hpp"
 
 namespace {
@@ -49,8 +50,8 @@ struct MeshProblem {
   fem::PoissonProblem prob;
 };
 
-/// The serving bench's smoke-scale problem shape: an irregular random-domain
-/// mesh around 800 nodes.
+/// The serving smoke problem: an irregular random-domain mesh around 800
+/// nodes.
 MeshProblem smoke_problem(std::uint64_t seed = 7, Index nodes = 800) {
   mesh::Mesh m =
       mesh::generate_mesh_target_nodes(mesh::random_domain(seed), nodes, seed);
@@ -59,21 +60,6 @@ MeshProblem smoke_problem(std::uint64_t seed = 7, Index nodes = 800) {
       m, [&](const Point2& p) { return q.f(p); },
       [&](const Point2& p) { return q.g(p); });
   return {std::move(m), std::move(prob)};
-}
-
-/// The bench's served ddm-gnn configuration (bench/bench_serving.cpp):
-/// adaptive refine-until-contractive setup plus fp32 preconditioner applies.
-core::HybridConfig served_config(const gnn::DssModel& model) {
-  core::HybridConfig cfg;
-  cfg.preconditioner = "ddm-gnn";
-  cfg.subdomain_target_nodes = 350;
-  cfg.rel_tol = 1e-6;
-  cfg.max_iterations = 500;
-  cfg.track_history = false;
-  cfg.model = &model;
-  cfg.gnn_adaptive_refinement = true;
-  cfg.precond_fp32 = true;
-  return cfg;
 }
 
 double true_rel_residual(const la::CsrMatrix& A, std::span<const double> b,
@@ -87,10 +73,10 @@ double true_rel_residual(const la::CsrMatrix& A, std::span<const double> b,
 TEST(ServingConvergence, CachedSessionDdmGnnConvergesAtSmokeScale) {
   auto [m, prob] = smoke_problem();
   // Untrained paper-shape model (k̄=10, d=10, hidden=10): the exact
-  // configuration the serving bench used to fail every solve on.
+  // configuration every served solve used to fail on.
   gnn::DssConfig mc;
   gnn::DssModel model(mc, /*seed=*/3);
-  const core::HybridConfig cfg = served_config(model);
+  const core::HybridConfig cfg = test::served_config(model);
 
   core::SessionCache cache(/*byte_budget=*/1u << 30);
   auto session = cache.get_or_setup(m, prob, cfg);
@@ -107,7 +93,7 @@ TEST(ServingConvergence, CachedSessionDdmGnnConvergesAtSmokeScale) {
       << " iterations=" << res.iterations;
   EXPECT_LT(true_rel_residual(prob.A, prob.b, x), 1e-5);
 
-  // Batched path (the bench's solve_many traffic), through the cache hit.
+  // Batched path (solve_many traffic), through the cache hit.
   auto again = cache.get_or_setup(m, prob, cfg);
   EXPECT_EQ(again.get(), session.get());
   Rng rng(99);

@@ -1,6 +1,7 @@
 // SolveService behavior: batched windows return bitwise what the direct
 // session paths return for the same window composition, backpressure honors
-// the queue cap under both admission policies, QoS deadlines shrink windows,
+// the queue cap under both admission policies and counts every refused
+// submit as a rejection, QoS deadlines shrink windows,
 // shutdown drains every admitted future, warm starts converge immediately,
 // and a multi-producer stress run (the TSan CI target) completes every
 // request exactly once.
@@ -16,6 +17,8 @@
 #include "core/session_cache.hpp"
 #include "core/solve_service.hpp"
 #include "la/vector_ops.hpp"
+#include "obs/flags.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -235,6 +238,55 @@ TEST(SolveServiceBackpressure, BlockPolicyWaitsForSpace) {
   for (auto& f : futs) EXPECT_TRUE(f.get().result.converged);
   EXPECT_EQ(svc.stats().completed, 3u);
   EXPECT_EQ(svc.stats().rejected, 0u);
+}
+
+// A submit still blocked for space when shutdown() runs is refused, and it
+// counts as a rejection in stats() and in the registry alike.
+TEST(SolveServiceBackpressure, BlockedSubmitAtShutdownCountsAsRejection) {
+  const la::CsrMatrix A = grid_laplacian(16, 0.0);
+  const core::HybridConfig cfg = lu_config();
+  core::SessionCache cache(1u << 30);
+  core::ServiceConfig scfg = paused_friendly(/*max_batch=*/2, 50ms);
+  scfg.queue_capacity = 2;
+  scfg.on_full = core::AdmissionPolicy::kBlock;
+  core::SolveService svc(cache, scfg);
+  const auto op = svc.register_operator(A, cfg);
+  svc.pause();
+  std::vector<std::future<core::SolveService::Reply>> futs;
+  for (int i = 0; i < 2; ++i) {
+    auto fut = svc.submit(op, random_rhs(static_cast<std::size_t>(A.rows()),
+                                         static_cast<std::uint64_t>(i)));
+    ASSERT_TRUE(fut.has_value());
+    futs.push_back(std::move(*fut));
+  }
+
+  obs::set_metrics_enabled(true);
+  const obs::Counter& rejected_total =
+      obs::Registry::instance().counter("service.rejected_total");
+  const std::uint64_t rejected0 = rejected_total.value();
+  // The thread must be inside submit() before shutdown(): a submit that
+  // starts after it throws instead of blocking.
+  std::vector<double> rhs = random_rhs(static_cast<std::size_t>(A.rows()), 77);
+  std::atomic<bool> started{false};
+  std::atomic<bool> returned{false};
+  bool refused = false;
+  std::thread blocked([&] {
+    started.store(true);
+    refused = !svc.submit(op, std::move(rhs)).has_value();
+    returned.store(true);
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(returned.load()) << "submit returned before shutdown";
+  svc.shutdown();
+  blocked.join();
+  const std::uint64_t rejected_delta = rejected_total.value() - rejected0;
+  obs::set_metrics_enabled(false);
+
+  EXPECT_TRUE(refused);
+  EXPECT_EQ(svc.stats().rejected, 1u);
+  EXPECT_EQ(rejected_delta, 1u);
+  for (auto& f : futs) EXPECT_TRUE(f.get().result.converged);
 }
 
 TEST(SolveServiceQoS, EffectiveWindowWaitShrinksWithDeadline) {
