@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "common/timer.hpp"
 #include "gnn/dss_kernels.hpp"
 #include "la/vector_ops.hpp"
 #include "obs/flags.hpp"
@@ -22,15 +21,15 @@ namespace {
 /// while timing is on; the disabled path is the bare virtual call.
 inline void timed_forward(const gnn::DssModel& model,
                           const gnn::GraphSample& sample,
-                          const gnn::DssEdgeCache* cache,
+                          const gnn::DssPackedWeights& packed,
                           gnn::DssWorkspace& dss, std::vector<float>& out) {
   if (!obs::timing_enabled()) {
-    model.forward(sample, cache, dss, out);
+    model.forward(sample, &packed, dss, out);
     return;
   }
   gnn::DssPhaseProfile prof;
   const std::int64_t t0 = obs::TraceRecorder::instance().now_ns();
-  model.forward(sample, cache, dss, out, &prof);
+  model.forward(sample, &packed, dss, out, &prof);
   gnn::record_phase_profile(prof, t0, obs::TraceRecorder::instance().now_ns());
 }
 
@@ -87,13 +86,9 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
                "GnnSubdomainSolver: geometry size mismatch");
   const auto k = static_cast<la::Index>(local_matrices.size());
   topologies_.resize(k);
-  edge_caches_.assign(k, nullptr);
-  // Edge geometry never changes across iterations, applies, or solves, so
-  // the attr projections of every message-passing block are paid once here.
-  const bool precompute = model_->config().fast_inference;
+  // One packed copy of the frozen model's weights, shared by every lane.
+  model_->pack_weights(packed_);
   obs::Span setup_span("gnn.setup");
-  const bool timing = obs::timing_enabled();
-  std::atomic<double> edge_cache_seconds{0.0};
   parallel_for_dynamic(k, [&](long i) {
     const auto& nodes = dec.subdomains[i];
     std::vector<mesh::Point2> local_coords(nodes.size());
@@ -107,24 +102,7 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
     topologies_[i] = gnn::build_topology(std::move(local_matrices[i]),
                                          local_coords, local_dirichlet,
                                          &local_pattern);
-    if (precompute) {
-      Timer cache_timer;
-      edge_caches_[i] = std::make_shared<const gnn::DssEdgeCache>(
-          model_->precompute_edges(*topologies_[i]));
-      if (timing) {
-        edge_cache_seconds.fetch_add(cache_timer.seconds(),
-                                     std::memory_order_relaxed);
-      }
-    }
   });
-  if (timing && precompute) {
-    // CPU seconds across the parallel precompute — can exceed the phase's
-    // wall time, which is exactly the signal (edge-cache build parallelism).
-    static obs::Gauge& g =
-        obs::Registry::instance().gauge("setup.dss_edge_cache_seconds");
-    if (obs::metrics_enabled()) g.add(edge_cache_seconds.load());
-    setup_span.arg("edge_cache_cpu_seconds", edge_cache_seconds.load());
-  }
 
   refine_steps_.clear();
   fallback_.clear();
@@ -174,7 +152,7 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
         }
         const double inv = options_.normalize_input ? 1.0 / norm : 1.0;
         for (std::size_t l = 0; l < n; ++l) sample.rhs[l] = res[l] * inv;
-        timed_forward(*model_, sample, edge_caches_[i].get(), dss, out);
+        timed_forward(*model_, sample, packed_, dss, out);
         const double scale = options_.normalize_input ? norm : 1.0;
         for (std::size_t l = 0; l < n; ++l) {
           z[l] += scale * static_cast<double>(out[l]);
@@ -199,10 +177,11 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
       // Cost model, per preconditioner application. Exact: forward+backward
       // envelope sweeps, 2 flops per stored entry each (the factorization is
       // one-time setup cost, not counted). GNN: (passes+1) inferences, each
-      // k̄ message-passing iterations of two n×d×hidden edge-endpoint
-      // projections, the per-edge gather-sum of ne×hidden activations, the
-      // edge-MLP layer 2 applied once per node (n×hidden×d), and the ~3
-      // d×d-shaped node-update GEMMs.
+      // k̄ fused blocks of the projection GEMM (n × d × 4h), the
+      // two-direction edge pass (2h activations per edge at nine flops each:
+      // four adds, three multiplies, the ReLU and the sum), the folded Ψ
+      // layer (n × (d + nin + 2h) × h) and Ψ's second layer (n × h × d), then
+      // the decoder (n × d × h).
       chol = std::make_unique<la::SkylineCholesky>(topo->a_local);
       const double exact_flops =
           4.0 * static_cast<double>(chol->envelope_size());
@@ -210,10 +189,12 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
       const double ne = static_cast<double>(topo->num_edges());
       const double d = static_cast<double>(mc.latent);
       const double h = static_cast<double>(mc.hidden);
+      const double row = d + static_cast<double>(mc.node_input_dim()) + 2.0 * h;
       const double per_inference =
           static_cast<double>(mc.iterations) *
-          (4.0 * nd * d * h + 2.0 * ne * h + 2.0 * nd * h * d +
-           6.0 * nd * d * d);
+              (8.0 * nd * d * h + 18.0 * ne * h + 2.0 * nd * row * h +
+               2.0 * nd * h * d) +
+          2.0 * nd * d * h;
       const double gnn_flops = (needed + 1) * per_inference;
       use_fallback =
           gnn_flops > options_.fallback_cost_margin * exact_flops;
@@ -252,14 +233,17 @@ GnnSubdomainSolver::make_workspace() const {
 
 std::size_t GnnSubdomainSolver::workspace_bytes() const {
   // Coarse steady-state estimate of one warmed-up lane, sized to the largest
-  // subdomain: the fast DSS forward buffers are per-node latent/projection
-  // tensors (its per-edge terms live in the setup-time edge caches), plus
-  // the residual and fallback sweep buffers.
+  // subdomain: the fused DSS forward's per-node tensors (node rows, the 4h
+  // projections, the update scratch that only runtime-width shapes use, the
+  // decoder's latent, hidden and output; nothing per edge), plus the rhs and
+  // residual buffers.
   long max_nodes = 0;
   for (const auto& t : topologies_) max_nodes = std::max<long>(max_nodes, t->n);
   const auto& cfg = model_->config();
+  const long row = cfg.latent + cfg.node_input_dim() + 2 * cfg.hidden;
   return static_cast<std::size_t>(max_nodes) *
-         ((4 * cfg.latent + 2 * cfg.hidden + cfg.update_input_dim() + 2) *
+         ((row + 4 * cfg.hidden + (cfg.hidden + cfg.latent) + cfg.latent +
+           cfg.hidden + 1) *
               sizeof(float) +
           2 * sizeof(double));
 }
@@ -293,7 +277,7 @@ void GnnSubdomainSolver::solve(la::Index i, std::span<const double> r,
     if (norm <= options_.zero_threshold) break;
     const double inv = options_.normalize_input ? 1.0 / norm : 1.0;
     for (std::size_t j = 0; j < n; ++j) sample.rhs[j] = res[j] * inv;
-    timed_forward(*model_, sample, edge_caches_[i].get(), lane.dss, out);
+    timed_forward(*model_, sample, packed_, lane.dss, out);
     const double scale = options_.normalize_input ? norm : 1.0;
     for (std::size_t j = 0; j < n; ++j) {
       z[j] += scale * static_cast<double>(out[j]);

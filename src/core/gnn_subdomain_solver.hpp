@@ -111,13 +111,9 @@ class GnnSubdomainSolver final : public precond::SubdomainSolver {
   /// A neural local solve is not a symmetric linear map.
   bool is_symmetric() const override { return false; }
 
-  /// Per-topology attr-projection caches (empty entries when the model runs
-  /// the reference inference path). Built at setup() against the model's
-  /// then-current parameters — the solver assumes a frozen trained model.
-  const std::vector<std::shared_ptr<const gnn::DssEdgeCache>>& edge_caches()
-      const {
-    return edge_caches_;
-  }
+  /// The model's weights packed for the fused forward at setup() (the
+  /// solver assumes a frozen trained model); every lane reads this copy.
+  const gnn::DssPackedWeights& packed_weights() const { return packed_; }
   /// Adaptive-setup outcome: the number of subdomains served by the exact
   /// Cholesky fallback (0 when adaptive_refinement is off).
   la::Index fallback_count() const { return fallback_count_; }
@@ -130,7 +126,7 @@ class GnnSubdomainSolver final : public precond::SubdomainSolver {
                                 // mesh adjacency or matrix adjacency
   Options options_;
   std::vector<std::shared_ptr<gnn::GraphTopology>> topologies_;
-  std::vector<std::shared_ptr<const gnn::DssEdgeCache>> edge_caches_;
+  gnn::DssPackedWeights packed_;
   /// Adaptive-setup state (empty when adaptive_refinement is off): chosen
   /// per-subdomain pass counts and, for non-contractive subdomains, the
   /// exact Cholesky fallback factors. Immutable after setup().

@@ -281,9 +281,8 @@ std::size_t SolverSession::memory_bytes() const {
   // SessionCache byte budget honest for the common one-client-per-session
   // case (heavier fan-in scales the transient scratch, not the cached state).
   if (m_inv_) bytes += m_inv_->workspace_bytes();
-  // The GNN local solver additionally holds per-topology attr-projection
-  // caches (the factorized inference engine's setup-time precompute); count
-  // them so the SessionCache byte budget stays honest for ddm-gnn sessions.
+  // The GNN local solver additionally holds the model's packed weights (the
+  // fused inference engine's one setup-time copy, shared by every lane).
   if (const auto* schwarz =
           dynamic_cast<const precond::AdditiveSchwarz*>(m_inv_.get())) {
     // Coarse-correction state: the dense Nicolaides factor, or the whole
@@ -294,9 +293,7 @@ std::size_t SolverSession::memory_bytes() const {
     }
     if (const auto* gnn_local = dynamic_cast<const GnnSubdomainSolver*>(
             &schwarz->local_solver())) {
-      for (const auto& cache : gnn_local->edge_caches()) {
-        if (cache) bytes += cache->bytes();
-      }
+      bytes += gnn_local->packed_weights().bytes();
     }
   }
   return bytes;

@@ -1,5 +1,6 @@
 #include "gnn/dss_kernels.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
@@ -172,58 +173,185 @@ void gather_edge_preact(const GraphTopology& topo, const nn::Tensor& p_recv,
       kEdgeGrain);
 }
 
-void fused_layer2_aggregate(const GraphTopology& topo,
-                            const nn::Tensor& p_recv,
-                            const nn::Tensor& p_send,
-                            const nn::Tensor& attr_proj, const float* w2,
-                            const float* b2, int out, nn::Tensor& phi) {
-  const Index n = topo.n;
-  DDMGNN_CHECK(topo.recv_ptr.size() == static_cast<std::size_t>(n) + 1,
-               "fused_layer2_aggregate: topology not finalized "
-               "(call finalize_topology)");
-  const int hid = p_recv.cols;
-  DDMGNN_ASSERT(p_send.cols == hid && attr_proj.cols == hid &&
-                attr_proj.rows == topo.num_edges());
-  // Per-node activation sums (n × hid). Thread-local like fused_gemm's
-  // transposed weights: sized by the largest graph this thread has run, and
-  // bound to a reference so that forked workers fill the caller's rows.
-  thread_local nn::Tensor tls_sums;
-  nn::Tensor& sums = tls_sums;
-  sums.resize(n, hid);
-  // Step 1: sum the ReLU'd activations over each receiver's segment.
+namespace {
+
+/// A fused loop's width: kW > 0 fixes d = h = kW at compile time, so the
+/// per-row loops unroll and the accumulators stay in registers; kW = 0
+/// takes the runtime value. Evaluated inside the loop bodies, so the fixed
+/// widths stay constants there.
+template <int kW>
+constexpr int width(int runtime) {
+  return kW > 0 ? kW : runtime;
+}
+
+/// The width with a fixed instantiation: the paper's d = h = 10, the shape
+/// of every model the tools, examples and benchmarks solve with.
+constexpr int kPaperWidth = 10;
+
+bool paper_shape(const DssPackedWeights& w) {
+  return w.latent == kPaperWidth && w.hidden == kPaperWidth;
+}
+
+template <int kW>
+void project_rows(const DssPackedWeights& w, int k, const nn::Tensor& x,
+                  nn::Tensor& proj) {
+  const int d_rt = w.latent;
+  const int h_rt = w.hidden;
+  const auto& blk = w.blocks[k];
+  const float* wt = blk.proj.data();
+  const float* bias = blk.proj_bias.data();
+  proj.resize(x.rows, 4 * h_rt);
   parallel_for(
-      n,
+      x.rows,
+      [&](long li) {
+        const int d = width<kW>(d_rt);
+        const int h4 = 4 * width<kW>(h_rt);
+        const auto i = static_cast<Index>(li);
+        const float* hi = x.row(i);
+        float fixed[kW > 0 ? 4 * kW : 1];
+        float* acc = kW > 0 ? fixed : proj.row(i);
+        for (int o = 0; o < h4; ++o) acc[o] = bias[o];
+        for (int c = 0; c < d; ++c) {
+          const float a = hi[c];
+          const float* wc = wt + static_cast<std::size_t>(c) * h4;
+#pragma omp simd
+          for (int o = 0; o < h4; ++o) acc[o] += a * wc[o];
+        }
+        if (kW > 0) std::copy(acc, acc + h4, proj.row(i));
+      },
+      kNodeGrain);
+}
+
+template <int kW>
+void edge_pass_rows(const GraphTopology& topo, const DssPackedWeights& w,
+                    int k, const nn::Tensor& proj, nn::Tensor& x) {
+  const int h_rt = w.hidden;
+  const int s_col = w.latent + w.node_inputs;
+  const float* wx = w.blocks[k].attr.data();
+  const float* wy = wx + 2 * h_rt;
+  const float* wd = wy + 2 * h_rt;
+  parallel_for(
+      topo.n,
       [&](long j) {
-        float* acc = sums.row(static_cast<int>(j));
-        for (int k = 0; k < hid; ++k) acc[k] = 0.0f;
+        const int h2 = 2 * width<kW>(h_rt);
+        // The sums accumulate in the row itself: a stack accumulator here
+        // invites the compiler to unroll-and-jam the edge loop into scalar,
+        // branching code, several times slower.
+        float* s = x.row(static_cast<Index>(j)) + s_col;
+        for (int o = 0; o < h2; ++o) s[o] = 0.0f;
         // Every edge in node j's segment has recv[e] == j.
-        const float* pr = p_recv.row(static_cast<int>(j));
+        const float* pr = proj.row(static_cast<Index>(j));
         for (la::Offset idx = topo.recv_ptr[j]; idx < topo.recv_ptr[j + 1];
              ++idx) {
           const Index e = topo.recv_order[idx];
-          const float* ps = p_send.row(topo.send[e]);
-          const float* ap = attr_proj.row(e);
+          const float* ps = proj.row(topo.send[e]) + h2;
+          const float* a = &topo.attr[static_cast<std::size_t>(e) * 3];
+          const float dx = a[0];
+          const float dy = a[1];
+          const float dist = a[2];
 #pragma omp simd
-          for (int k = 0; k < hid; ++k) {
-            const float v = pr[k] + ps[k] + ap[k];
-            acc[k] += v > 0.0f ? v : 0.0f;
+          for (int o = 0; o < h2; ++o) {
+            const float v = pr[o] + ps[o] + dx * wx[o] + dy * wy[o] +
+                            dist * wd[o];
+            s[o] += v > 0.0f ? v : 0.0f;
           }
         }
       },
       kNodeGrain);
-  // Step 2: W₂ once per node, then deg_j·b₂. A node without incoming edges
-  // has a zero sum and no bias term, so φ_j = 0.
-  nn::fused_gemm(w2, hid, /*col0=*/0, out, /*b=*/nullptr, /*relu=*/false,
-                 sums, phi);
+}
+
+template <int kW>
+void update_rows(const GraphTopology& topo, const DssPackedWeights& w, int k,
+                 nn::Tensor& x, nn::Tensor& scratch) {
+  const int d_rt = w.latent;
+  const int h_rt = w.hidden;
+  const int row_width = w.row_width();
+  const auto& blk = w.blocks[k];
+  const float* upd = blk.upd.data();
+  const float* ub = blk.upd_bias.data();
+  const float* ug = blk.upd_deg.data();
+  const float* vt = blk.out.data();
+  const float* vb = blk.out_bias.data();
+  const float alpha = w.alpha;
+  if (kW == 0) scratch.resize(topo.n, h_rt + d_rt);
   parallel_for(
-      n,
+      topo.n,
       [&](long j) {
+        const int d = width<kW>(d_rt);
+        const int h = width<kW>(h_rt);
+        float* xj = x.row(static_cast<Index>(j));
+        float hid_fixed[kW > 0 ? kW : 1];
+        float u_fixed[kW > 0 ? kW : 1];
+        float* hid = kW > 0 ? hid_fixed : scratch.row(static_cast<Index>(j));
+        float* u = kW > 0 ? u_fixed : hid + h;
+        // φ's deg_j·b₂ term through the folded weights; exactly 0 at deg 0.
         const auto deg =
             static_cast<float>(topo.recv_ptr[j + 1] - topo.recv_ptr[j]);
-        float* y = phi.row(static_cast<int>(j));
-        for (int o = 0; o < out; ++o) y[o] += deg * b2[o];
+        for (int o = 0; o < h; ++o) hid[o] = ub[o] + deg * ug[o];
+        for (int c = 0; c < row_width; ++c) {
+          const float a = xj[c];
+          const float* wc = upd + static_cast<std::size_t>(c) * h;
+#pragma omp simd
+          for (int o = 0; o < h; ++o) hid[o] += a * wc[o];
+        }
+        for (int o = 0; o < h; ++o) hid[o] = hid[o] > 0.0f ? hid[o] : 0.0f;
+        for (int o = 0; o < d; ++o) u[o] = vb[o];
+        for (int c = 0; c < h; ++c) {
+          const float a = hid[c];
+          const float* vc = vt + static_cast<std::size_t>(c) * d;
+#pragma omp simd
+          for (int o = 0; o < d; ++o) u[o] += a * vc[o];
+        }
+        for (int o = 0; o < d; ++o) xj[o] = xj[o] + alpha * u[o];
       },
       kNodeGrain);
+}
+
+}  // namespace
+
+std::size_t DssPackedWeights::bytes() const {
+  std::size_t floats = 0;
+  for (const Block& b : blocks) {
+    for (const auto* v : {&b.proj, &b.proj_bias, &b.attr, &b.upd,
+                          &b.upd_bias, &b.upd_deg, &b.out, &b.out_bias}) {
+      floats += v->size();
+    }
+  }
+  return floats * sizeof(float);
+}
+
+void dss_project(const DssPackedWeights& w, int k, const nn::Tensor& x,
+                 nn::Tensor& proj) {
+  DDMGNN_ASSERT(x.cols == w.row_width());
+  if (paper_shape(w)) {
+    project_rows<kPaperWidth>(w, k, x, proj);
+  } else {
+    project_rows<0>(w, k, x, proj);
+  }
+}
+
+void dss_edge_pass(const GraphTopology& topo, const DssPackedWeights& w,
+                   int k, const nn::Tensor& proj, nn::Tensor& x) {
+  DDMGNN_CHECK(topo.recv_ptr.size() == static_cast<std::size_t>(topo.n) + 1,
+               "dss_edge_pass: topology not finalized "
+               "(call finalize_topology)");
+  DDMGNN_ASSERT(proj.rows == topo.n && proj.cols == 4 * w.hidden &&
+                x.rows == topo.n && x.cols == w.row_width());
+  if (paper_shape(w)) {
+    edge_pass_rows<kPaperWidth>(topo, w, k, proj, x);
+  } else {
+    edge_pass_rows<0>(topo, w, k, proj, x);
+  }
+}
+
+void dss_update(const GraphTopology& topo, const DssPackedWeights& w, int k,
+                nn::Tensor& x, nn::Tensor& scratch) {
+  DDMGNN_ASSERT(x.rows == topo.n && x.cols == w.row_width());
+  if (paper_shape(w)) {
+    update_rows<kPaperWidth>(topo, w, k, x, scratch);
+  } else {
+    update_rows<0>(topo, w, k, x, scratch);
+  }
 }
 
 }  // namespace ddmgnn::gnn

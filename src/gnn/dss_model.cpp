@@ -1,9 +1,9 @@
 #include "gnn/dss_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "gnn/dss_kernels.hpp"
 
@@ -84,46 +84,119 @@ void DssModel::run_forward(const GraphSample& g, DssWorkspace& ws,
   }
 }
 
-DssEdgeCache DssModel::precompute_edges(const GraphTopology& topo) const {
-  DssEdgeCache cache;
-  cache.fwd.resize(cfg_.iterations);
-  cache.bwd.resize(cfg_.iterations);
+void DssModel::pack_weights(DssPackedWeights& out) const {
+  const int d = cfg_.latent;
+  const int h = cfg_.hidden;
+  const int nin = cfg_.node_input_dim();
+  const int ldw = cfg_.message_input_dim();   // edge MLP input: 2d + 3
+  const int ldpsi = cfg_.update_input_dim();  // Ψ input: d + nin + 2d
   const float* p = store_.data();
-  const int ldw = cfg_.message_input_dim();
-  const int attr_col = 2 * cfg_.latent;
+  out.latent = d;
+  out.hidden = h;
+  out.node_inputs = nin;
+  out.alpha = cfg_.alpha;
+  out.blocks.resize(cfg_.iterations);
+  const auto at = [](const float* m, int ld, int r, int c) {
+    return m[static_cast<std::size_t>(r) * ld + c];
+  };
   for (int k = 0; k < cfg_.iterations; ++k) {
-    const nn::Linear& l1f = blocks_[k].phi_fwd.l1();
-    const nn::Linear& l1b = blocks_[k].phi_bwd.l1();
-    project_attr(topo, l1f.weights(p), ldw, attr_col, l1f.bias(p),
-                 /*sign=*/1.0f, cfg_.hidden, cache.fwd[k]);
-    project_attr(topo, l1b.weights(p), ldw, attr_col, l1b.bias(p),
-                 /*sign=*/-1.0f, cfg_.hidden, cache.bwd[k]);
+    const Block& blk = blocks_[k];
+    DssPackedWeights::Block& pb = out.blocks[k];
+    const nn::Mlp* phi[2] = {&blk.phi_fwd, &blk.phi_bwd};
+
+    // Projection: column block q of the d × 4h matrix is W_recv→, W_recv←,
+    // W_send→, W_send← (transposed); b₁ rides on the receiver half.
+    pb.proj.assign(static_cast<std::size_t>(d) * 4 * h, 0.0f);
+    pb.proj_bias.assign(static_cast<std::size_t>(4) * h, 0.0f);
+    for (int dir = 0; dir < 2; ++dir) {
+      const float* w1 = phi[dir]->l1().weights(p);
+      const float* b1 = phi[dir]->l1().bias(p);
+      for (int o = 0; o < h; ++o) {
+        for (int c = 0; c < d; ++c) {
+          pb.proj[static_cast<std::size_t>(c) * 4 * h + dir * h + o] =
+              at(w1, ldw, o, c);
+          pb.proj[static_cast<std::size_t>(c) * 4 * h + (2 + dir) * h + o] =
+              at(w1, ldw, o, d + c);
+        }
+        pb.proj_bias[dir * h + o] = b1[o];
+      }
+    }
+
+    // Attr rows [dx | dy | dist], each [Φ→ | Φ←]: Φ← sees −dx, −dy.
+    pb.attr.resize(static_cast<std::size_t>(3) * 2 * h);
+    for (int dir = 0; dir < 2; ++dir) {
+      const float* w1 = phi[dir]->l1().weights(p);
+      const float sign = dir == 0 ? 1.0f : -1.0f;
+      for (int o = 0; o < h; ++o) {
+        pb.attr[dir * h + o] = sign * at(w1, ldw, o, 2 * d);
+        pb.attr[2 * h + dir * h + o] = sign * at(w1, ldw, o, 2 * d + 1);
+        pb.attr[4 * h + dir * h + o] = at(w1, ldw, o, 2 * d + 2);
+      }
+    }
+
+    // Ψ layer 1 over [h | c | flag | S→ | S←]: the h and node-input columns
+    // as they are, the message columns folded through each direction's W₂
+    // (Wψ_φ·W₂, composed in double), and deg_j's weight Σ Wψ_φ·b₂.
+    const float* wpsi = blk.psi.l1().weights(p);
+    const int width = d + nin + 2 * h;
+    pb.upd.resize(static_cast<std::size_t>(width) * h);
+    pb.upd_deg.resize(h);
+    for (int o = 0; o < h; ++o) {
+      for (int c = 0; c < d + nin; ++c) {
+        pb.upd[static_cast<std::size_t>(c) * h + o] = at(wpsi, ldpsi, o, c);
+      }
+      double deg_term = 0.0;
+      for (int dir = 0; dir < 2; ++dir) {
+        const float* w2 = phi[dir]->l2().weights(p);  // d × h
+        const float* b2 = phi[dir]->l2().bias(p);
+        const int phi_col = d + nin + dir * d;
+        for (int m = 0; m < h; ++m) {
+          double acc = 0.0;
+          for (int q = 0; q < d; ++q) {
+            acc += static_cast<double>(at(wpsi, ldpsi, o, phi_col + q)) *
+                   static_cast<double>(at(w2, h, q, m));
+          }
+          const int c = d + nin + dir * h + m;
+          pb.upd[static_cast<std::size_t>(c) * h + o] =
+              static_cast<float>(acc);
+        }
+        for (int q = 0; q < d; ++q) {
+          deg_term += static_cast<double>(at(wpsi, ldpsi, o, phi_col + q)) *
+                      static_cast<double>(b2[q]);
+        }
+      }
+      pb.upd_deg[o] = static_cast<float>(deg_term);
+    }
+    const float* bpsi = blk.psi.l1().bias(p);
+    pb.upd_bias.assign(bpsi, bpsi + h);
+
+    // Ψ layer 2, transposed to h × d.
+    const float* wout = blk.psi.l2().weights(p);
+    pb.out.resize(static_cast<std::size_t>(h) * d);
+    for (int o = 0; o < d; ++o) {
+      for (int c = 0; c < h; ++c) {
+        pb.out[static_cast<std::size_t>(c) * d + o] = at(wout, h, o, c);
+      }
+    }
+    const float* bout = blk.psi.l2().bias(p);
+    pb.out_bias.assign(bout, bout + d);
   }
-  return cache;
 }
 
-void DssModel::run_forward_fast(const GraphSample& g, const DssEdgeCache* cache,
-                                DssWorkspace& ws,
+void DssModel::run_forward_fast(const GraphSample& g,
+                                const DssPackedWeights& w, DssWorkspace& ws,
                                 DssPhaseProfile* profile) const {
   const GraphTopology& topo = *g.topo;
   DDMGNN_CHECK(topo.recv_ptr.size() == static_cast<std::size_t>(topo.n) + 1,
                "DssModel: fast inference requires a finalized topology "
                "(finalize_topology builds the receiver-CSR index)");
-  DDMGNN_CHECK(cache == nullptr ||
-                   (cache->fwd.size() ==
-                        static_cast<std::size_t>(cfg_.iterations) &&
-                    cache->bwd.size() == cache->fwd.size() &&
-                    cache->fwd[0].rows == topo.num_edges() &&
-                    cache->bwd[0].rows == topo.num_edges()),
-               "DssModel: edge cache does not match the model depth and the "
-               "sample's topology (caches are per (topology, model) pair)");
+  DDMGNN_CHECK(w.blocks.size() == static_cast<std::size_t>(cfg_.iterations) &&
+                   w.latent == cfg_.latent && w.hidden == cfg_.hidden &&
+                   w.node_inputs == cfg_.node_input_dim(),
+               "DssModel: packed weights do not match the model's shape");
   const Index n = topo.n;
   const int d = cfg_.latent;
-  const int hid = cfg_.hidden;
-  const int in_dim = cfg_.node_input_dim();
-  const int ldw = cfg_.message_input_dim();
-  const int attr_col = 2 * d;
-  const float* p = store_.data();
+  const int nin = cfg_.node_input_dim();
   auto& f = ws.fast;
 
   Timer phase_timer;
@@ -134,88 +207,59 @@ void DssModel::run_forward_fast(const GraphSample& g, const DssEdgeCache* cache,
     if (profile != nullptr) profile->*slot += phase_timer.seconds();
   };
 
-  f.h_cur.resize(n, d);
-  f.h_cur.zero();
+  // Node rows [h | c | flag | S→ | S←]: H⁰ = 0 and the node inputs are fixed
+  // for the whole forward; every edge pass rewrites S before its update.
+  tic();
+  f.x.resize(n, w.row_width());
+  for (Index i = 0; i < n; ++i) {
+    float* row = f.x.row(i);
+    for (int c = 0; c < d; ++c) row[c] = 0.0f;
+    row[d] = static_cast<float>(g.rhs[i]);
+    if (nin == 2) row[d + 1] = topo.dirichlet[i] ? 1.0f : 0.0f;
+  }
+  toc(&DssPhaseProfile::update);
 
   for (int k = 0; k < cfg_.iterations; ++k) {
-    const Block& blk = blocks_[k];
-    for (const bool flip : {false, true}) {
-      const nn::Mlp& mlp = flip ? blk.phi_bwd : blk.phi_fwd;
-      const nn::Linear& l1 = mlp.l1();
-      const float* w1 = l1.weights(p);
-
-      tic();
-      if (k == 0) {
-        // H⁰ = 0 ⇒ both node projections are exactly zero; skip the GEMMs.
-        f.p_recv.resize(n, hid);
-        f.p_recv.zero();
-        f.p_send.resize(n, hid);
-        f.p_send.zero();
-      } else {
-        nn::fused_gemm(w1, ldw, /*col0=*/0, hid, /*b=*/nullptr,
-                       /*relu=*/false, f.h_cur, f.p_recv);
-        nn::fused_gemm(w1, ldw, /*col0=*/d, hid, /*b=*/nullptr,
-                       /*relu=*/false, f.h_cur, f.p_send);
+    tic();
+    if (k == 0) {
+      // H⁰ = 0 ⇒ every projection row is just the bias.
+      const std::vector<float>& bias = w.blocks[0].proj_bias;
+      f.proj.resize(n, static_cast<int>(bias.size()));
+      for (Index i = 0; i < n; ++i) {
+        std::copy(bias.begin(), bias.end(), f.proj.row(i));
       }
-      const nn::Tensor* attr_proj;
-      if (cache != nullptr) {
-        attr_proj = flip ? &cache->bwd[k] : &cache->fwd[k];
-      } else {
-        project_attr(topo, w1, ldw, attr_col, l1.bias(p),
-                     flip ? -1.0f : 1.0f, hid, f.attr_scratch);
-        attr_proj = &f.attr_scratch;
-      }
-      toc(&DssPhaseProfile::projection);
-
-      // Gather + layer 2 + receiver reduction in one pass over the
-      // receiver-CSR index; the whole kernel lands on the aggregate slot.
-      tic();
-      const nn::Linear& l2 = mlp.l2();
-      fused_layer2_aggregate(topo, f.p_recv, f.p_send, *attr_proj,
-                             l2.weights(p), l2.bias(p), d,
-                             flip ? f.phi_bwd : f.phi_fwd);
-      toc(&DssPhaseProfile::aggregate);
+    } else {
+      dss_project(w, k, f.x, f.proj);
     }
+    toc(&DssPhaseProfile::projection);
 
     tic();
-    // Ψ input: [h, c (, dirichlet flag), φ→, φ←] — same layout as the
-    // reference path.
-    f.x_psi.resize(n, cfg_.update_input_dim());
-    parallel_for(
-        n,
-        [&](long li) {
-          const auto i = static_cast<Index>(li);
-          float* row = f.x_psi.row(i);
-          const float* hi = f.h_cur.row(i);
-          for (int kk = 0; kk < d; ++kk) row[kk] = hi[kk];
-          row[d] = static_cast<float>(g.rhs[i]);
-          if (in_dim == 2) row[d + 1] = topo.dirichlet[i] ? 1.0f : 0.0f;
-          const float* pf = f.phi_fwd.row(i);
-          const float* pb = f.phi_bwd.row(i);
-          for (int kk = 0; kk < d; ++kk) row[d + in_dim + kk] = pf[kk];
-          for (int kk = 0; kk < d; ++kk) row[d + in_dim + d + kk] = pb[kk];
-        },
-        /*grain=*/2048);
-    blk.psi.infer(p, f.x_psi, f.u, f.hidden);
-    f.h_next.resize(n, d);
-    const float alpha = cfg_.alpha;
-    for (std::size_t i = 0; i < f.h_cur.size(); ++i) {
-      f.h_next.d[i] = f.h_cur.d[i] + alpha * f.u.d[i];
-    }
-    std::swap(f.h_cur, f.h_next);
+    dss_edge_pass(topo, w, k, f.proj, f.x);
+    toc(&DssPhaseProfile::aggregate);
+
+    tic();
+    dss_update(topo, w, k, f.x, f.scratch);
     toc(&DssPhaseProfile::update);
   }
 
   tic();
-  blocks_.back().dec.infer(p, f.h_cur, f.rhat, f.hidden);
+  f.h.resize(n, d);
+  for (Index i = 0; i < n; ++i) {
+    std::copy(f.x.row(i), f.x.row(i) + d, f.h.row(i));
+  }
+  blocks_.back().dec.infer(store_.data(), f.h, f.rhat, f.hidden);
   toc(&DssPhaseProfile::decode);
 }
 
-void DssModel::forward(const GraphSample& g, const DssEdgeCache* cache,
+void DssModel::forward(const GraphSample& g, const DssPackedWeights* packed,
                        DssWorkspace& ws, std::vector<float>& out,
                        DssPhaseProfile* profile) const {
   if (cfg_.fast_inference) {
-    run_forward_fast(g, cache, ws, profile);
+    if (packed == nullptr) {
+      pack_weights(ws.fast.packed);
+      packed = &ws.fast.packed;
+    }
+    run_forward_fast(g, *packed, ws, profile);
     out.assign(ws.fast.rhat.d.begin(), ws.fast.rhat.d.end());
     return;
   }
@@ -226,7 +270,7 @@ void DssModel::forward(const GraphSample& g, const DssEdgeCache* cache,
 
 void DssModel::forward(const GraphSample& g, DssWorkspace& ws,
                        std::vector<float>& out) const {
-  forward(g, /*cache=*/nullptr, ws, out, /*profile=*/nullptr);
+  forward(g, /*packed=*/nullptr, ws, out, /*profile=*/nullptr);
 }
 
 double DssModel::residual_loss(const GraphTopology& topo,

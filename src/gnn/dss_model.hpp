@@ -39,7 +39,7 @@ struct DssConfig {
   float alpha = 0.05f;  ///< ResNet step (paper: 1e-3; larger trains faster on
                         ///< the small CPU budgets this repo targets)
   bool dirichlet_flag = true;  ///< extra node-input channel (see header note)
-  /// Inference path selector: true routes forward() through the factorized
+  /// Inference path selector: true routes forward() through the fused
   /// simd engine (dss_kernels.hpp), false through the scalar reference
   /// implementation — same weights, outputs agree to float rounding (the
   /// fast-path test bounds the difference at 1e-4 relative). Not part of the
@@ -72,17 +72,16 @@ struct DssWorkspace {
   std::vector<IterState> iters;
   // Backward scratch.
   nn::Tensor dh, dh_next, du, drhat, dx_psi, dm, dx_edge, dphi_fwd, dphi_bwd;
-  /// Factorized-inference scratch: the fast path needs no per-iteration
-  /// state (only the running latent), so its buffers are flat and ping-pong.
-  /// With an edge cache, nothing here is per-edge.
+  /// Fused-inference scratch: the fast path keeps no per-iteration state,
+  /// and nothing in it is per edge.
   struct Fast {
-    nn::Tensor h_cur, h_next;         // latent (n × d)
-    nn::Tensor p_recv, p_send;        // node projections (n × hidden)
-    nn::Tensor attr_scratch;          // cache-less attr projections (ne × hidden)
-    nn::Tensor phi_fwd, phi_bwd;      // aggregated messages (n × d)
-    nn::Tensor x_psi, u;              // Ψ input / output
-    nn::Tensor hidden;                // MLP hidden scratch
-    nn::Tensor rhat;                  // decode (n × 1)
+    nn::Tensor x;         // node rows [h | c | flag | S→ | S←] (n × row width)
+    nn::Tensor proj;      // [P_recv→ | P_recv← | P_send→ | P_send←] (n × 4h)
+    nn::Tensor scratch;   // update accumulators, runtime widths only (n × (h+d))
+    nn::Tensor h;         // final latent for the decoder (n × d)
+    nn::Tensor hidden;    // decoder hidden layer (n × h)
+    nn::Tensor rhat;      // decode (n × 1)
+    DssPackedWeights packed;  // per-call packing when forward() gets none
   } fast;
 };
 
@@ -91,28 +90,27 @@ class DssModel {
   DssModel(DssConfig cfg, std::uint64_t seed);
 
   const DssConfig& config() const { return cfg_; }
-  /// Flip between the factorized engine and the scalar reference path
+  /// Flip between the fused engine and the scalar reference path
   /// (the equivalence tests A/B the two on one binary).
   void set_fast_inference(bool fast) { cfg_.fast_inference = fast; }
   std::size_t num_params() const { return store_.size(); }
   std::span<float> params() { return store_.values(); }
   std::span<const float> params() const { return store_.values(); }
 
-  /// Precompute the per-block attr projections of `topo` for this model's
-  /// current parameters — one-time setup cost that removes the attr GEMM
-  /// from every subsequent fast forward on that topology. Invalidated by
-  /// parameter updates (callers hold frozen trained models).
-  DssEdgeCache precompute_edges(const GraphTopology& topo) const;
+  /// Pack the current parameters for the fused forward (see
+  /// DssPackedWeights), reusing `out`'s storage. Pack once per frozen model
+  /// and share the result across every forward and thread.
+  void pack_weights(DssPackedWeights& out) const;
 
   /// Inference: out = r̂^k̄ (the final decode), resized to g.size().
   void forward(const GraphSample& g, DssWorkspace& ws,
                std::vector<float>& out) const;
 
-  /// Inference with an optional precomputed edge cache (nullptr recomputes
-  /// the attr projections per call) and optional per-phase wall-clock
-  /// accumulation (nullptr = no timing; profile is only filled by the fast
-  /// path). Honors cfg.fast_inference.
-  void forward(const GraphSample& g, const DssEdgeCache* cache,
+  /// Inference with optional packed weights from pack_weights() (nullptr
+  /// packs per call into the workspace; the result is the same bits) and
+  /// optional per-phase wall-clock accumulation (nullptr = no timing; the
+  /// profile is only filled by the fast path). Honors cfg.fast_inference.
+  void forward(const GraphSample& g, const DssPackedWeights* packed,
                DssWorkspace& ws, std::vector<float>& out,
                DssPhaseProfile* profile = nullptr) const;
 
@@ -135,8 +133,8 @@ class DssModel {
 
   void run_forward(const GraphSample& g, DssWorkspace& ws,
                    bool keep_all_decodes) const;
-  /// Factorized inference engine (see dss_kernels.hpp for the algebra).
-  void run_forward_fast(const GraphSample& g, const DssEdgeCache* cache,
+  /// Fused inference engine (see dss_kernels.hpp for the algebra).
+  void run_forward_fast(const GraphSample& g, const DssPackedWeights& w,
                         DssWorkspace& ws, DssPhaseProfile* profile) const;
   /// L_res and its gradient w.r.t. the decode (into ws.drhat).
   double residual_loss(const GraphTopology& topo,

@@ -9,7 +9,7 @@
 //   - forward_fused() / fused_gemm(): the register-blocked, simd-vectorized
 //     inference kernel with fused bias and optional fused ReLU, row-parallel
 //     above a grain threshold when called outside an OpenMP region. The DSS
-//     fast inference engine is built on these.
+//     fast engine's decoder and its three-step test oracle run on these.
 //
 // Conventions: X is [n × in], W is [out × in] row-major, Y = X·Wᵀ + b.
 #pragma once
@@ -45,8 +45,8 @@ class Linear {
   int in_dim() const { return in_; }
   int out_dim() const { return out_; }
 
-  /// Raw views into the parameter store (the factorized DSS kernels slice
-  /// the first edge-MLP layer by column block).
+  /// Raw views into the parameter store (DssModel::pack_weights reads the
+  /// layers through them).
   const float* weights(const float* params) const { return params + w_.offset; }
   const float* bias(const float* params) const { return params + b_.offset; }
 

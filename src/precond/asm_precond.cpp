@@ -104,9 +104,9 @@ AdditiveSchwarz::AdditiveSchwarz(
     });
   }
   {
-    // For DDM-LU this is the factorization; for DDM-GNN it builds the
-    // subdomain topologies + DSS edge caches (which add their own child
-    // phase under setup.dss_edge_cache_seconds).
+    // For DDM-LU this is the factorization; for DDM-GNN it packs the
+    // model's weights and builds the subdomain message graphs (and, with
+    // adaptive refinement, probes each subdomain with DSS inferences).
     static obs::Gauge& g =
         obs::Registry::instance().gauge("setup.local_solver_seconds");
     obs::PhaseTimer t("setup.local_solver", &g);

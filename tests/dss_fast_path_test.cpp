@@ -1,21 +1,23 @@
-// Equivalence suite for the factorized DSS inference engine
+// Equivalence suite for the fused DSS inference engine
 // (gnn/dss_kernels.hpp):
 //   - fused Linear kernel vs the scalar reference across shapes and
 //     thread counts (including the fused-ReLU variant),
 //   - segmented aggregation vs serial scatter, required BITWISE equal at
 //     any thread count (the receiver-CSR index preserves per-destination
 //     accumulation order),
-//   - the aggregate-then-project message kernel vs the three-step oracle
-//     (gather → layer-2 GEMM over every edge → segmented aggregate), with a
-//     nonzero layer-2 bias and receivers that get no messages,
-//   - factorized forward vs reference forward within 1e-4 relative on
-//     random graphs across latent/hidden sizes, cached and cache-less
-//     (which must agree bit-for-bit with each other),
+//   - one fused block (projection, two-direction edge pass, update with W₂
+//     folded into Ψ) vs the three-step oracle (gather → layer-2 GEMM over
+//     every edge → segmented aggregate → Ψ), with a nonzero layer-2 bias,
+//     receivers that get no messages, and a forked run,
+//   - fused forward vs reference forward within 1e-4 relative on random
+//     graphs across latent/hidden sizes, with weights packed once and
+//     packed per call (which must agree bit-for-bit with each other),
 //   - solver-level: PCG iteration counts for ddm-gnn at every coarse depth
 //     (mg_levels 0, 1, 2) unchanged (±1) between the fast and reference
 //     paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -172,76 +174,196 @@ TEST(Aggregation, SegmentedBitwiseEqualsSerialScatterAtAnyThreadCount) {
   }
 }
 
-TEST(FusedLayer2Aggregate, MatchesThreeStepOracleWithBiasAndIsolatedReceivers) {
+/// Parameter layout of a DssModel (per block Φ→, Φ←, Ψ, D in construction
+/// order) over a separate store, so a test can name individual layers.
+struct ModelMirror {
+  struct Block {
+    nn::Mlp fwd, bwd, psi, dec;
+  };
+  nn::ParameterStore store;
+  std::vector<Block> blocks;
+
+  explicit ModelMirror(const gnn::DssConfig& cfg) {
+    for (int k = 0; k < cfg.iterations; ++k) {
+      Block b;
+      b.fwd = nn::Mlp(store, cfg.message_input_dim(), cfg.hidden, cfg.latent);
+      b.bwd = nn::Mlp(store, cfg.message_input_dim(), cfg.hidden, cfg.latent);
+      b.psi = nn::Mlp(store, cfg.update_input_dim(), cfg.hidden, cfg.latent);
+      b.dec = nn::Mlp(store, cfg.latent, cfg.hidden, 1);
+      blocks.push_back(b);
+    }
+    store.finalize();
+  }
+  /// Writable view of one layer's bias inside the store.
+  float* bias(const nn::Linear& l) {
+    return const_cast<float*>(l.bias(store.data()));  // store owns it
+  }
+};
+
+/// One fused block (dss_project → dss_edge_pass → dss_update) on node rows
+/// `x`; `s_out` receives the rows as the edge pass left them.
+void run_block(const gnn::GraphTopology& topo, const gnn::DssPackedWeights& w,
+               int k, nn::Tensor& x, nn::Tensor& s_out) {
+  nn::Tensor proj, scratch;
+  gnn::dss_project(w, k, x, proj);
+  gnn::dss_edge_pass(topo, w, k, proj, x);
+  s_out = x;
+  gnn::dss_update(topo, w, k, x, scratch);
+}
+
+TEST(FusedBlock, MatchesThreeStepOracleWithBiasAndIsolatedReceivers) {
   ThreadGuard guard;
   struct Shape {
-    int hidden, out;
+    int latent, hidden;
   };
-  // hidden = 20 spans two of the kernel's stack-held hidden chunks.
-  for (const Shape shape : {Shape{10, 10}, {20, 7}}) {
+  // d = h = 10 runs the fixed-width loops; d = 7, h = 20 the runtime-width
+  // ones, with a folded row (d + nin + 2h) wider than Ψ's input (3d + nin).
+  for (const Shape shape : {Shape{10, 10}, {7, 20}}) {
     for (const Index n : {13, 257, 3000}) {
       const auto s = random_sample(n, 500 + n, 3);
       const auto& topo = *s.topo;
-      // Dirichlet nodes receive no messages: their φ is exactly zero, with
-      // no bias term (deg = 0).
+      // Dirichlet nodes receive no messages: their message input is exactly
+      // zero, with no bias term (deg = 0).
       ASSERT_TRUE(topo.dirichlet[0]);
       ASSERT_EQ(topo.recv_ptr[0], topo.recv_ptr[1]);
 
+      gnn::DssConfig cfg;
+      cfg.iterations = 2;
+      cfg.latent = shape.latent;
+      cfg.hidden = shape.hidden;
+      cfg.alpha = 1.0f;  // h' − h = u: the update is not scaled away
+      const int k = 1;
+      const int d = cfg.latent;
+      const int h = cfg.hidden;
+      const int nin = cfg.node_input_dim();
+      gnn::DssModel model(cfg, 42);
+      ModelMirror mirror(cfg);
       Rng rng(13 + n);
-      nn::Tensor p_recv(n, shape.hidden), p_send(n, shape.hidden);
-      nn::Tensor attr(topo.num_edges(), shape.hidden);
-      for (nn::Tensor* t : {&p_recv, &p_send, &attr}) {
-        for (auto& v : t->d) v = static_cast<float>(rng.uniform(-1, 1));
+      for (float& v : mirror.store.values()) {
+        v = static_cast<float>(rng.uniform(-0.5, 0.5));
       }
-      nn::ParameterStore ps;
-      nn::Linear l2(ps, shape.hidden, shape.out);
-      ps.finalize();
-      l2.init_xavier(ps.values(), rng);
-      // A bias well above the weights' scale, so a missing or misplaced
-      // deg_j·b₂ term cannot hide inside the tolerance.
-      float* b2 = const_cast<float*>(l2.bias(ps.data()));  // ps owns it
-      for (int o = 0; o < shape.out; ++o) {
-        b2[o] = static_cast<float>(rng.uniform(1, 3)) * (o % 2 ? -1.0f : 1.0f);
-      }
-
-      nn::Tensor e_act, m_edge, ref;
-      gnn::gather_edge_preact(topo, p_recv, p_send, attr, e_act);
-      l2.forward_fused(ps.data(), e_act, m_edge);
-      gnn::aggregate_segmented(topo, m_edge, ref);
-
-      // The forked run goes first, so rows a worker left out of the
-      // caller's scratch cannot be masked by an earlier serial run.
-      nn::Tensor fused1, fused4;
-      set_num_threads(4);
-      gnn::fused_layer2_aggregate(topo, p_recv, p_send, attr,
-                                  l2.weights(ps.data()), l2.bias(ps.data()),
-                                  shape.out, fused4);
-      set_num_threads(1);
-      gnn::fused_layer2_aggregate(topo, p_recv, p_send, attr,
-                                  l2.weights(ps.data()), l2.bias(ps.data()),
-                                  shape.out, fused1);
-      set_num_threads(0);
-
-      ASSERT_EQ(fused1.rows, n);
-      ASSERT_EQ(fused1.cols, shape.out);
-      ASSERT_EQ(fused1.size(), ref.size());
-      float max_abs = 0.0f;
-      for (const float v : ref.d) max_abs = std::max(max_abs, std::abs(v));
-      for (Index j = 0; j < n; ++j) {
-        const bool isolated = topo.recv_ptr[j] == topo.recv_ptr[j + 1];
-        for (int o = 0; o < shape.out; ++o) {
-          if (isolated) {
-            EXPECT_EQ(fused1.at(j, o), 0.0f) << "n=" << n << " j=" << j;
-          }
-          EXPECT_NEAR(fused1.at(j, o), ref.at(j, o), 1e-5f * max_abs)
-              << "h=" << shape.hidden << " n=" << n << " j=" << j
-              << " o=" << o;
+      // A layer-2 bias well above the weights' scale, so a missing or
+      // misplaced deg_j·b₂ term cannot hide inside the tolerance.
+      for (const nn::Mlp* phi : {&mirror.blocks[k].fwd, &mirror.blocks[k].bwd}) {
+        float* b2 = mirror.bias(phi->l2());
+        for (int o = 0; o < d; ++o) {
+          b2[o] = static_cast<float>(rng.uniform(1, 3)) * (o % 2 ? -1.0f : 1.0f);
         }
       }
-      EXPECT_EQ(std::memcmp(fused4.d.data(), fused1.d.data(),
-                            fused1.size() * sizeof(float)),
+      ASSERT_EQ(mirror.store.size(), model.num_params());
+      std::copy(mirror.store.values().begin(), mirror.store.values().end(),
+                model.params().begin());
+      gnn::DssPackedWeights w;
+      model.pack_weights(w);
+      ASSERT_EQ(w.row_width(), d + nin + 2 * h);
+
+      // Node rows [h | c | flag | S→ | S←] with a random latent state; the
+      // S columns hold junk the edge pass must overwrite.
+      nn::Tensor x0(n, w.row_width());
+      for (auto& v : x0.d) v = static_cast<float>(rng.uniform(-1, 1));
+      for (Index i = 0; i < n; ++i) {
+        x0.at(i, d + 1) = topo.dirichlet[i] ? 1.0f : 0.0f;
+      }
+
+      // The forked run goes first, so rows a worker left out of the
+      // caller's buffers cannot be masked by an earlier serial run.
+      nn::Tensor x4 = x0, x1 = x0, s4, s1;
+      set_num_threads(4);
+      run_block(topo, w, k, x4, s4);
+      set_num_threads(1);
+      run_block(topo, w, k, x1, s1);
+      set_num_threads(0);
+      EXPECT_EQ(std::memcmp(x4.d.data(), x1.d.data(),
+                            x1.size() * sizeof(float)),
                 0)
           << "n=" << n;
+      EXPECT_EQ(std::memcmp(s4.d.data(), s1.d.data(),
+                            s1.size() * sizeof(float)),
+                0)
+          << "n=" << n;
+
+      // Oracle: per direction, activations per edge → layer 2 per edge →
+      // segmented sums; then Ψ over [h | c | flag | φ→ | φ←].
+      const float* p = mirror.store.data();
+      nn::Tensor hs(n, d);
+      for (Index i = 0; i < n; ++i) {
+        for (int c = 0; c < d; ++c) hs.at(i, c) = x0.at(i, c);
+      }
+      nn::Tensor phi[2], act_sum[2];
+      for (const int dir : {0, 1}) {
+        const nn::Mlp& mlp = dir ? mirror.blocks[k].bwd : mirror.blocks[k].fwd;
+        const float* w1 = mlp.l1().weights(p);
+        nn::Tensor p_recv, p_send, attr, e_act, m_edge;
+        nn::fused_gemm(w1, cfg.message_input_dim(), 0, h, nullptr, false, hs,
+                       p_recv);
+        nn::fused_gemm(w1, cfg.message_input_dim(), d, h, nullptr, false, hs,
+                       p_send);
+        gnn::project_attr(topo, w1, cfg.message_input_dim(), 2 * d,
+                          mlp.l1().bias(p), dir ? -1.0f : 1.0f, h, attr);
+        gnn::gather_edge_preact(topo, p_recv, p_send, attr, e_act);
+        gnn::aggregate_segmented(topo, e_act, act_sum[dir]);
+        mlp.l2().forward_fused(p, e_act, m_edge);
+        gnn::aggregate_segmented(topo, m_edge, phi[dir]);
+      }
+      nn::Tensor x_psi(n, cfg.update_input_dim()), u, hidden;
+      for (Index i = 0; i < n; ++i) {
+        for (int c = 0; c < d + nin; ++c) x_psi.at(i, c) = x0.at(i, c);
+        for (int c = 0; c < d; ++c) {
+          x_psi.at(i, d + nin + c) = phi[0].at(i, c);
+          x_psi.at(i, d + nin + d + c) = phi[1].at(i, c);
+        }
+      }
+      mirror.blocks[k].psi.infer(p, x_psi, u, hidden);
+
+      float max_s = 0.0f, max_h = 0.0f;
+      for (const auto& t : act_sum) {
+        for (const float v : t.d) max_s = std::max(max_s, std::abs(v));
+      }
+      for (Index i = 0; i < n; ++i) {
+        for (int c = 0; c < d; ++c) {
+          max_h = std::max(max_h, std::abs(hs.at(i, c) + u.at(i, c)));
+        }
+      }
+      for (Index j = 0; j < n; ++j) {
+        const bool isolated = topo.recv_ptr[j] == topo.recv_ptr[j + 1];
+        for (int c = 0; c < 2 * h; ++c) {
+          const float got = s1.at(j, d + nin + c);
+          if (isolated) {
+            EXPECT_EQ(got, 0.0f) << "n=" << n << " j=" << j;
+          }
+          EXPECT_NEAR(got, act_sum[c / h].at(j, c % h), 1e-5f * max_s)
+              << "h=" << h << " n=" << n << " j=" << j << " c=" << c;
+        }
+        for (int c = 0; c < d; ++c) {
+          EXPECT_NEAR(x1.at(j, c), hs.at(j, c) + u.at(j, c), 1e-5f * max_h)
+              << "d=" << d << " n=" << n << " j=" << j << " c=" << c;
+        }
+      }
+
+      // deg_j·b₂ adds exactly nothing at deg 0: with b₂ zeroed, isolated
+      // receivers update to the same bits (and the bias does move others).
+      for (const nn::Mlp* phi_mlp :
+           {&mirror.blocks[k].fwd, &mirror.blocks[k].bwd}) {
+        float* b2 = mirror.bias(phi_mlp->l2());
+        std::fill(b2, b2 + d, 0.0f);
+      }
+      std::copy(mirror.store.values().begin(), mirror.store.values().end(),
+                model.params().begin());
+      gnn::DssPackedWeights w_nob2;
+      model.pack_weights(w_nob2);
+      nn::Tensor x_nob2 = s1, scratch;
+      gnn::dss_update(topo, w_nob2, k, x_nob2, scratch);
+      int moved = 0;
+      for (Index j = 0; j < n; ++j) {
+        const bool isolated = topo.recv_ptr[j] == topo.recv_ptr[j + 1];
+        const bool same = std::memcmp(x_nob2.row(j), x1.row(j),
+                                      d * sizeof(float)) == 0;
+        if (isolated) {
+          EXPECT_TRUE(same) << "n=" << n << " j=" << j;
+        }
+        if (!same) ++moved;
+      }
+      EXPECT_GT(moved, 0) << "n=" << n;
     }
   }
 }
@@ -280,26 +402,28 @@ TEST(FastForward, MatchesReferenceWithinToleranceAcrossSizes) {
       gnn::DssModel model(cfg, 1234);
       gnn::DssWorkspace ws;
 
-      std::vector<float> ref, fast_nocache, fast_cached;
+      std::vector<float> ref, fast_per_call, fast_packed;
       model.set_fast_inference(false);
       model.forward(s, ws, ref);
       model.set_fast_inference(true);
-      model.forward(s, ws, fast_nocache);
-      const gnn::DssEdgeCache cache = model.precompute_edges(*s.topo);
-      model.forward(s, &cache, ws, fast_cached);
+      model.forward(s, ws, fast_per_call);
+      gnn::DssPackedWeights packed;
+      model.pack_weights(packed);
+      gnn::DssWorkspace ws_packed;
+      model.forward(s, &packed, ws_packed, fast_packed);
 
       ASSERT_EQ(ref.size(), static_cast<std::size_t>(n));
-      ASSERT_EQ(fast_nocache.size(), ref.size());
-      ASSERT_EQ(fast_cached.size(), ref.size());
+      ASSERT_EQ(fast_per_call.size(), ref.size());
+      ASSERT_EQ(fast_packed.size(), ref.size());
       float max_abs = 0.0f;
       for (const float v : ref) max_abs = std::max(max_abs, std::abs(v));
       for (std::size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_NEAR(fast_nocache[i], ref[i], 1e-4f * (1.0f + max_abs))
+        EXPECT_NEAR(fast_per_call[i], ref[i], 1e-4f * (1.0f + max_abs))
             << "d=" << shape.latent << " h=" << shape.hidden << " n=" << n
             << " i=" << i;
-        // The cache holds exactly what the cache-less path recomputes —
-        // identical arithmetic, identical bits.
-        EXPECT_EQ(fast_cached[i], fast_nocache[i])
+        // Packing once and packing per call run the same arithmetic on the
+        // same packed bits.
+        EXPECT_EQ(fast_packed[i], fast_per_call[i])
             << "d=" << shape.latent << " h=" << shape.hidden << " i=" << i;
       }
     }
@@ -318,8 +442,8 @@ TEST(FastForward, ProfileAccumulatesIntoAllPhases) {
   gnn::DssPhaseProfile prof;
   for (int r = 0; r < 3; ++r) model.forward(s, nullptr, ws, out, &prof);
   EXPECT_GT(prof.projection, 0.0);
-  // The gather runs inside fused_layer2_aggregate and is booked on the
-  // aggregate slot.
+  // The gather runs inside the edge pass and is booked on the aggregate
+  // slot.
   EXPECT_EQ(prof.gather, 0.0);
   EXPECT_GT(prof.aggregate, 0.0);
   EXPECT_GT(prof.update, 0.0);

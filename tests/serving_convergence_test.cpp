@@ -5,10 +5,10 @@
 //     the worst case for serving: the adaptive setup must detect the
 //     non-contractive subdomains and rescue them with the exact Cholesky
 //     fallback.
-//   - the DSS forward (aggregate-then-project message layers) is BITWISE
-//     identical at any thread count, and agrees with a three-step oracle —
-//     gather / layer-2 GEMM over every edge / segmented aggregate — to float
-//     rounding.
+//   - the fused DSS forward is BITWISE identical at any thread count, on a
+//     subdomain-sized graph and on one large enough for its node loops to
+//     fork, and agrees with a three-step oracle — gather / layer-2 GEMM over
+//     every edge / segmented aggregate — to float rounding.
 //   - a mixed-precision (fp32 preconditioner apply) solve still meets the
 //     fp64 tolerance on the true residual, and the default Krylov selection
 //     bumps PCG to flexible PCG when fp32 is on.
@@ -114,8 +114,8 @@ TEST(ServingConvergence, CachedSessionDdmGnnConvergesAtSmokeScale) {
 }
 
 /// A normalized random-rhs sample on the smoke mesh's full message graph.
-gnn::GraphSample forward_sample() {
-  auto [m, prob] = smoke_problem(/*seed=*/11, /*nodes=*/500);
+gnn::GraphSample forward_sample(Index nodes = 500) {
+  auto [m, prob] = smoke_problem(/*seed=*/11, nodes);
   const la::CsrMatrix pattern = gnn::adjacency_pattern(m.adj_ptr(), m.adj());
   gnn::GraphSample s;
   s.topo = gnn::build_topology(prob.A, m.points(), prob.dirichlet, &pattern);
@@ -127,11 +127,11 @@ gnn::GraphSample forward_sample() {
   return s;
 }
 
-/// Three-step oracle of DssModel's fast forward: the same factorized engine,
-/// but each message layer runs as gather_edge_preact → layer-2
-/// forward_fused over every edge → aggregate_segmented. The MLPs mirror the
-/// model's parameter layout (per block Φ→, Φ←, Ψ, D, in construction order)
-/// over a copy of its parameters.
+/// Three-step oracle of DssModel's fused forward: the same factorized first
+/// layer, but each message layer runs as gather_edge_preact → layer-2
+/// forward_fused over every edge → aggregate_segmented, and Ψ reads φ with
+/// nothing folded. The MLPs mirror the model's parameter layout (per block
+/// Φ→, Φ←, Ψ, D, in construction order) over a copy of its parameters.
 std::vector<float> three_step_forward(const gnn::DssModel& model,
                                       const gnn::GraphSample& g) {
   const gnn::DssConfig& cfg = model.config();
@@ -196,23 +196,28 @@ std::vector<float> three_step_forward(const gnn::DssModel& model,
 
 TEST(ServingConvergence, ForwardIsBitwiseIdenticalAtAnyThreadCount) {
   ThreadGuard guard;
-  const gnn::GraphSample s = forward_sample();
   gnn::DssConfig mc;  // paper shape, untrained — bit patterns are what count
   gnn::DssModel model(mc, /*seed=*/3);
-  gnn::DssWorkspace ws;
-
-  std::vector<float> ref;
-  set_num_threads(1);
-  model.forward(s, ws, ref);
-  ASSERT_FALSE(ref.empty());
-  for (const int threads : {2, 4}) {
-    set_num_threads(threads);
-    std::vector<float> out;
-    model.forward(s, ws, out);
-    ASSERT_EQ(out.size(), ref.size()) << "threads=" << threads;
-    EXPECT_EQ(std::memcmp(out.data(), ref.data(), ref.size() * sizeof(float)),
-              0)
-        << "forward not bitwise at threads=" << threads;
+  // A subdomain-sized graph, where no node loop forks, and one above the
+  // largest grain of the fused pass and its decoder GEMM, where they all do.
+  for (const Index nodes : {500, 5000}) {
+    const gnn::GraphSample s = forward_sample(nodes);
+    ASSERT_GT(s.size(), nodes * 9 / 10);
+    gnn::DssWorkspace ws;
+    std::vector<float> ref;
+    set_num_threads(1);
+    model.forward(s, ws, ref);
+    ASSERT_FALSE(ref.empty());
+    for (const int threads : {2, 4}) {
+      set_num_threads(threads);
+      std::vector<float> out;
+      model.forward(s, ws, out);
+      ASSERT_EQ(out.size(), ref.size()) << "threads=" << threads;
+      EXPECT_EQ(
+          std::memcmp(out.data(), ref.data(), ref.size() * sizeof(float)), 0)
+          << "forward not bitwise at threads=" << threads
+          << " nodes=" << s.size();
+    }
   }
 }
 
