@@ -25,6 +25,10 @@ DssMetrics evaluate_dss(const DssModel& model,
 
   std::vector<double> residuals(samples.size());
   std::vector<double> rel_errors(samples.size());
+  // Pack the frozen weights once for every sample and thread (the same bits
+  // as packing per call).
+  DssPackedWeights packed;
+  model.pack_weights(packed);
   const int nthreads = num_threads();
   std::vector<DssWorkspace> ws(nthreads);
 #pragma omp parallel for schedule(dynamic, 1) num_threads(nthreads)
@@ -32,7 +36,7 @@ DssMetrics evaluate_dss(const DssModel& model,
     const int tid = omp_get_thread_num();
     const GraphSample& s = samples[i];
     std::vector<float> pred;
-    model.forward(s, ws[tid], pred);
+    model.forward(s, &packed, ws[tid], pred);
     // RMS residual sqrt(L_res) = ‖A r̂ − c‖₂ / √n — the paper's "Residual"
     // scale in Table II (inputs are normalized, ‖c‖₂ = 1).
     std::vector<double> pred_d(pred.begin(), pred.end());

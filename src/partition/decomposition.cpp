@@ -24,60 +24,66 @@ void Decomposition::prolong_add(Index i, std::span<const double> x,
 
 namespace {
 
-/// Farthest-point seeds: repeated multi-source BFS, next seed = farthest node.
+/// Farthest-point seeds: the next seed is the lowest-index node farthest from
+/// every seed so far. Each new seed relaxes the multi-source BFS distances
+/// through the nodes it brings closer (about ln K relaxations per node over
+/// all seeds), and only the 64-node blocks a relaxation touched get their
+/// maximum recomputed, so finding the farthest node scans N/64 block maxima
+/// and one block instead of all N distances.
 std::vector<Index> pick_seeds(std::span<const Offset> adj_ptr,
                               std::span<const Index> adj, Index n, Index k,
                               Rng& rng) {
+  constexpr Index kBlock = 64;
+  std::vector<Index> dist(n, -1);
+  std::vector<Index> block_max((n + kBlock - 1) / kBlock, -1);
+  std::vector<char> touched(block_max.size(), 0);
+  std::vector<Index> touched_blocks, frontier, next;
+  auto touch = [&](Index v) {
+    const Index b = v / kBlock;
+    if (!touched[b]) {
+      touched[b] = 1;
+      touched_blocks.push_back(b);
+    }
+  };
+  auto relax_from = [&](Index s) {
+    dist[s] = 0;
+    touch(s);
+    frontier.assign(1, s);
+    while (!frontier.empty()) {
+      next.clear();
+      for (const Index u : frontier) {
+        for (Offset e = adj_ptr[u]; e < adj_ptr[u + 1]; ++e) {
+          const Index v = adj[e];
+          if (dist[v] < 0 || dist[v] > dist[u] + 1) {
+            dist[v] = dist[u] + 1;
+            next.push_back(v);
+            touch(v);
+          }
+        }
+      }
+      frontier.swap(next);
+    }
+    for (const Index b : touched_blocks) {
+      const auto first = dist.begin() + b * kBlock;
+      const auto last = dist.begin() + std::min(n, (b + 1) * kBlock);
+      block_max[b] = *std::max_element(first, last);
+      touched[b] = 0;
+    }
+    touched_blocks.clear();
+  };
+
   std::vector<Index> seeds;
   seeds.reserve(k);
   seeds.push_back(static_cast<Index>(rng.uniform_index(n)));
-  std::vector<Index> dist(n, -1);
-  std::vector<Index> frontier;
-  auto bfs_from = [&](Index s) {
-    frontier.assign(1, s);
-    dist[s] = 0;
-    while (!frontier.empty()) {
-      std::vector<Index> next;
-      for (const Index u : frontier) {
-        for (Offset e = adj_ptr[u]; e < adj_ptr[u + 1]; ++e) {
-          const Index v = adj[e];
-          if (dist[v] < 0 || dist[v] > dist[u] + 1) {
-            dist[v] = dist[u] + 1;
-            next.push_back(v);
-          }
-        }
-      }
-      frontier.swap(next);
-    }
-  };
-  std::fill(dist.begin(), dist.end(), -1);
-  bfs_from(seeds[0]);
+  relax_from(seeds[0]);
   while (static_cast<Index>(seeds.size()) < k) {
-    Index far = seeds[0];
-    Index best = -1;
-    for (Index v = 0; v < n; ++v) {
-      if (dist[v] > best) {
-        best = dist[v];
-        far = v;
-      }
-    }
+    // max_element returns the first maximum: the lowest block holding the
+    // largest distance, then the lowest node in it at that distance.
+    const auto top = std::max_element(block_max.begin(), block_max.end());
+    Index far = static_cast<Index>(top - block_max.begin()) * kBlock;
+    while (dist[far] != *top) ++far;
     seeds.push_back(far);
-    // Relax distances with the new seed (multi-source min-distance).
-    frontier.assign(1, far);
-    dist[far] = 0;
-    while (!frontier.empty()) {
-      std::vector<Index> next;
-      for (const Index u : frontier) {
-        for (Offset e = adj_ptr[u]; e < adj_ptr[u + 1]; ++e) {
-          const Index v = adj[e];
-          if (dist[v] < 0 || dist[v] > dist[u] + 1) {
-            dist[v] = dist[u] + 1;
-            next.push_back(v);
-          }
-        }
-      }
-      frontier.swap(next);
-    }
+    relax_from(far);
   }
   return seeds;
 }
@@ -132,43 +138,48 @@ Decomposition decompose(std::span<const Offset> adj_ptr,
   std::vector<std::queue<Index>> frontier(num_parts);
   std::vector<Index> size(num_parts, 0);
   using HeapItem = std::pair<Index, Index>;  // (part size, part id)
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
+  using MinHeap =
+      std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>>;
+  MinHeap heap;      // parts with a live frontier
+  MinHeap smallest;  // every part, keyed by a size that may lag behind
+  // Owners are never reset during growth, so every node below `cursor` stays
+  // owned and the first unowned node is found by a scan that only moves on.
+  Index cursor = 0;
+  auto first_unowned = [&] {
+    while (cursor < n && dec.owner[cursor] != -1) ++cursor;
+    return cursor;
+  };
   for (Index p = 0; p < num_parts; ++p) {
     Index s = seeds[p];
     if (dec.owner[s] != -1) {
       // Seed collision (tiny graphs): fall back to any unassigned node.
-      s = -1;
-      for (Index v = 0; v < n; ++v) {
-        if (dec.owner[v] == -1) {
-          s = v;
-          break;
-        }
-      }
-      DDMGNN_CHECK(s >= 0, "decompose: more parts than nodes");
+      s = first_unowned();
+      DDMGNN_CHECK(s < n, "decompose: more parts than nodes");
     }
     dec.owner[s] = p;
     size[p] = 1;
     frontier[p].push(s);
     heap.push({1, p});
+    smallest.push({1, p});
   }
   Index assigned = num_parts;
   while (assigned < n) {
     if (heap.empty()) {
-      // Disconnected leftover: give it to the smallest part and restart a
-      // frontier from there.
-      Index p_min = 0;
-      for (Index p = 1; p < num_parts; ++p)
-        if (size[p] < size[p_min]) p_min = p;
-      for (Index v = 0; v < n; ++v) {
-        if (dec.owner[v] == -1) {
-          dec.owner[v] = p_min;
-          ++size[p_min];
-          ++assigned;
-          frontier[p_min].push(v);
-          heap.push({size[p_min], p_min});
-          break;
-        }
+      // Disconnected leftover: give it to the smallest part (lowest id on
+      // ties) and restart a frontier from there. Sizes only grow, so a
+      // stale key sits too low: re-key the top until it is current.
+      while (smallest.top().first != size[smallest.top().second]) {
+        const Index p = smallest.top().second;
+        smallest.pop();
+        smallest.push({size[p], p});
       }
+      const Index p_min = smallest.top().second;
+      const Index v = first_unowned();
+      dec.owner[v] = p_min;
+      ++size[p_min];
+      ++assigned;
+      frontier[p_min].push(v);
+      heap.push({size[p_min], p_min});
       continue;
     }
     const auto [sz, p] = heap.top();
@@ -225,20 +236,16 @@ Decomposition decompose(std::span<const Offset> adj_ptr,
   }
 
   // --- 3. Overlap expansion: `overlap` BFS layers around each core. ---
+  // Bucketing by owner in one ascending pass lists each core in order.
   dec.subdomains.assign(num_parts, {});
+  for (Index v = 0; v < n; ++v) dec.subdomains[dec.owner[v]].push_back(v);
   {
     std::vector<Index> mark(n, -1);
     std::vector<Index> layer, next;
     for (Index p = 0; p < num_parts; ++p) {
       auto& nodes = dec.subdomains[p];
-      layer.clear();
-      for (Index v = 0; v < n; ++v) {
-        if (dec.owner[v] == p) {
-          nodes.push_back(v);
-          mark[v] = p;
-          layer.push_back(v);
-        }
-      }
+      for (const Index v : nodes) mark[v] = p;
+      layer = nodes;
       for (int l = 0; l < overlap; ++l) {
         next.clear();
         for (const Index u : layer) {

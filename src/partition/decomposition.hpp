@@ -5,6 +5,24 @@
 // part by `overlap` BFS layers (the paper partitions into ~1000-node
 // sub-meshes with overlap 2 or 4). The node lists double as the boolean
 // restriction operators R_i of §II-A: R_i x = gather, R_iᵀ y = scatter.
+//
+// Cost, for N nodes, E adjacency entries and K parts. METIS, which the paper
+// uses, is linear in the graph; every pass here is too at bounded degree,
+// apart from a scan of N/64 block maxima per seed:
+//  * seeds: each new seed relaxes the BFS distances of the nodes it brings
+//    closer, about ln K times per node over all K seeds; finding the next
+//    farthest node scans N/64 per-block distance maxima and one block;
+//  * growth: a frontier node's neighbor list is rescanned once per node it
+//    adds, O(Σ deg²) = O(N + E) at bounded degree, plus O(log K) heap work
+//    per step; nodes no frontier reaches (other components, isolated rows)
+//    cost O(log K) each;
+//  * smoothing: two O(N + E) sweeps;
+//  * overlap: one O(N) bucketing pass, then O(E) per layer around each part
+//    and a sort of each subdomain list;
+//  * weights: O(N) plus the subdomain list lengths.
+// The passes are serial and order-dependent. The output is a pure function of
+// (graph, K, overlap, seed), pinned bit for bit by partition_test's
+// `Decomposition.FingerprintIsPinned`.
 #pragma once
 
 #include <cstdint>

@@ -400,6 +400,12 @@ TEST(FastForward, MatchesReferenceWithinToleranceAcrossSizes) {
       cfg.latent = shape.latent;
       cfg.hidden = shape.hidden;
       gnn::DssModel model(cfg, 1234);
+      // Xavier init zeroes every bias; perturb all parameters so the
+      // message layers' b₁ and the deg_j·b₂ term take part.
+      Rng rng(17 * n + shape.hidden);
+      for (float& v : model.params()) {
+        v += static_cast<float>(rng.uniform(-0.1, 0.1));
+      }
       gnn::DssWorkspace ws;
 
       std::vector<float> ref, fast_per_call, fast_packed;

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
 #include "fem/poisson.hpp"
@@ -99,6 +103,112 @@ TEST(Decomposition, TargetSizeChoosesK) {
       partition::decompose_target_size(m.adj_ptr(), m.adj(), 500, 2, 22);
   const double target_k = static_cast<double>(m.num_nodes()) / 500.0;
   EXPECT_NEAR(dec.num_parts, target_k, 1.0);
+}
+
+/// FNV-1a (64-bit) over every field of a Decomposition: num_parts, the
+/// owners, each subdomain's size and ids, and the bits of the weights. Each
+/// value is fed as eight little-endian bytes, so the digest is host-neutral.
+std::uint64_t fingerprint(const partition::Decomposition& d) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto feed = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  auto feed_index = [&feed](Index v) {
+    feed(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+  };
+  feed_index(d.num_parts);
+  for (const Index p : d.owner) feed_index(p);
+  for (const auto& nodes : d.subdomains) {
+    feed(nodes.size());
+    for (const Index v : nodes) feed_index(v);
+  }
+  for (const double w : d.inv_multiplicity) {
+    feed(std::bit_cast<std::uint64_t>(w));
+  }
+  return h;
+}
+
+/// Two disjoint mesh blobs in one graph (ids of the second offset by the
+/// first's node count): the partitioner's disconnected-leftover path.
+partition::AdjacencyGraph two_blob_graph() {
+  const mesh::Mesh m1 = mesh::generate_mesh(mesh::random_domain(13), 0.12, 13);
+  const mesh::Mesh m2 = mesh::generate_mesh(mesh::random_domain(14), 0.12, 14);
+  partition::AdjacencyGraph g;
+  g.ptr.push_back(0);
+  Index offset = 0;
+  for (const mesh::Mesh* m : {&m1, &m2}) {
+    for (Index v = 0; v < m->num_nodes(); ++v) {
+      for (la::Offset e = m->adj_ptr()[v]; e < m->adj_ptr()[v + 1]; ++e) {
+        g.idx.push_back(m->adj()[e] + offset);
+      }
+      g.ptr.push_back(static_cast<la::Offset>(g.idx.size()));
+    }
+    offset += m->num_nodes();
+  }
+  return g;
+}
+
+// The partition is a pure function of (graph, K, overlap, seed). These
+// digests pin every bit of it on graphs where K reaches the hundreds, where
+// isolated Dirichlet rows take the leftover path, and where the graph falls
+// apart, so a change to how decompose computes its passes cannot move one
+// subdomain, factor or iteration count without failing here.
+TEST(Decomposition, FingerprintIsPinned) {
+  // perfbench's problem recipe at ~20k nodes: the training element size on
+  // a blob whose radius grows with N (mesh seed 7).
+  const mesh::Domain unit = mesh::random_domain(7);
+  const double h = std::sqrt(unit.area() / (0.8660254 * 1000.0));
+  const mesh::Mesh m =
+      mesh::generate_mesh(mesh::random_domain(7, std::sqrt(20.0)), h, 7);
+  ASSERT_EQ(m.num_nodes(), 20185) << "the input mesh changed, not decompose";
+  ASSERT_EQ(m.adj().size(), 119942u) << "the input mesh changed, not decompose";
+  // Default assembly eliminates Dirichlet couplings: those rows are isolated.
+  const auto prob = fem::assemble_poisson(
+      m, [](const Point2&) { return 1.0; }, [](const Point2&) { return 0.0; });
+  const partition::AdjacencyGraph algebraic =
+      partition::matrix_adjacency(prob.A);
+  Index isolated = 0;
+  for (Index v = 0; v < algebraic.num_nodes(); ++v) {
+    isolated += algebraic.ptr[v + 1] == algebraic.ptr[v] ? 1 : 0;
+  }
+  ASSERT_GT(isolated, 0);
+
+  struct Pin {
+    const char* graph;
+    Index target_size;
+    int overlap;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"mesh", 150, 0, 0x5edcfef9277c7071ull},
+      {"mesh", 150, 2, 0x6e1da4964b22c547ull},
+      {"mesh", 350, 0, 0x13cb3f5a11909b2eull},
+      {"mesh", 350, 2, 0xb7329f2d0e86f49eull},
+      {"algebraic", 150, 0, 0xa7c1a1ad0f2d2a0aull},
+      {"algebraic", 150, 2, 0x3d1c2e0bb7460ce2ull},
+      {"algebraic", 350, 0, 0xe42695f02685612bull},
+      {"algebraic", 350, 2, 0xcec565cadb01b672ull},
+  };
+  for (const Pin& pin : pins) {
+    const bool mesh_graph = std::string(pin.graph) == "mesh";
+    const auto dec =
+        mesh_graph ? partition::decompose_target_size(
+                         m.adj_ptr(), m.adj(), pin.target_size, pin.overlap, 3)
+                   : partition::decompose_target_size(
+                         algebraic.ptr, algebraic.idx, pin.target_size,
+                         pin.overlap, 3);
+    EXPECT_EQ(fingerprint(dec), pin.digest)
+        << pin.graph << " graph, Ns " << pin.target_size << ", overlap "
+        << pin.overlap << ": 0x" << std::hex << fingerprint(dec);
+  }
+
+  const partition::AdjacencyGraph blobs = two_blob_graph();
+  const auto dec = partition::decompose(blobs.ptr, blobs.idx, 6, 2, 13);
+  EXPECT_EQ(fingerprint(dec), 0x8d48b29372b48b7cull)
+      << "two blobs: 0x" << std::hex << fingerprint(dec);
 }
 
 TEST(Decomposition, RestrictionProlongationRoundTrip) {
