@@ -4,7 +4,7 @@
 //   3. open a SolverSession per preconditioner: setup() builds the
 //      decomposition/factorizations/coarse space ONCE, then every solve()
 //      pays only iteration cost                               (src/core)
-// Preconditioners are picked by registry name ("none", "ddm-lu", "ddm-gnn",
+// Preconditioners are picked by table name ("none", "ddm-lu", "ddm-gnn",
 // ... — see precond::preconditioner_names()); the Krylov method defaults
 // from the preconditioner's symmetry (flexible PCG for the GNN).
 // DDM-GNN needs a trained model: the model zoo trains a small one on first

@@ -68,9 +68,6 @@ std::uint64_t fingerprint_of(const la::CsrMatrix& A, const HybridConfig& cfg,
   h = hash_pod(cfg.gnn_adaptive_refinement, h);
   h = hash_pod(cfg.precond_fp32, h);
   h = hash_pod(cfg.mg_levels, h);
-  h = fnv1a(cfg.mg_cycle.data(), cfg.mg_cycle.size(), h);
-  h = fnv1a(cfg.mg_smoother.data(), cfg.mg_smoother.size(), h);
-  h = hash_pod(cfg.mg_smooth_steps, h);
   h = hash_pod(cfg.seed, h);
   h = hash_pod(cfg.track_history, h);
   return h;
@@ -99,9 +96,7 @@ bool configs_equal(const HybridConfig& a, const HybridConfig& b) {
          a.gnn_normalize == b.gnn_normalize &&
          a.gnn_adaptive_refinement == b.gnn_adaptive_refinement &&
          a.precond_fp32 == b.precond_fp32 && a.mg_levels == b.mg_levels &&
-         a.mg_cycle == b.mg_cycle && a.mg_smoother == b.mg_smoother &&
-         a.mg_smooth_steps == b.mg_smooth_steps && a.seed == b.seed &&
-         a.track_history == b.track_history;
+         a.seed == b.seed && a.track_history == b.track_history;
 }
 
 }  // namespace

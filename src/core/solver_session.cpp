@@ -48,9 +48,9 @@ void SolverSession::setup_from_graph(const la::CsrMatrix& A,
   DDMGNN_CHECK(adj_ptr.size() == static_cast<std::size_t>(A.rows()) + 1,
                "setup_from_graph: adjacency does not match the operator");
 
-  // Resolves aliases and throws (listing the registered names) on unknowns.
-  const std::string& canonical =
-      precond::PrecondRegistry::instance().canonical(cfg.preconditioner);
+  // Resolves aliases and throws (listing the table's names) on unknowns.
+  const std::string_view canonical =
+      precond::canonical_preconditioner_name(cfg.preconditioner);
   const precond::PrecondTraits traits = precond::preconditioner_traits(canonical);
 
   static obs::Gauge& setup_gauge =
@@ -78,9 +78,6 @@ void SolverSession::setup_from_graph(const la::CsrMatrix& A,
   ctx.gnn_adaptive_refinement = cfg.gnn_adaptive_refinement;
   ctx.gnn_fp32_fallback = cfg.precond_fp32;
   ctx.mg_levels = cfg.mg_levels;
-  ctx.mg_cycle = cfg.mg_cycle;
-  ctx.mg_smoother = cfg.mg_smoother;
-  ctx.mg_smooth_steps = cfg.mg_smooth_steps;
   ctx.seed = cfg.seed;
   // The message-graph pattern is only materialized for geometry consumers
   // (the GNN entries); the factories copy it, so it can live on this stack.
@@ -128,15 +125,8 @@ void SolverSession::setup(const la::CsrMatrix& A, const HybridConfig& cfg,
   DDMGNN_CHECK(A.rows() == A.cols(),
                "setup(A): operator must be square, got " +
                    std::to_string(A.rows()) + "x" + std::to_string(A.cols()));
-  const std::string& canonical =
-      precond::PrecondRegistry::instance().canonical(cfg.preconditioner);
-  const precond::PrecondTraits traits = precond::preconditioner_traits(canonical);
-  DDMGNN_CHECK(
-      traits.supports_algebraic,
-      "preconditioner '" + canonical +
-          "' is registered without algebraic support and cannot be built "
-          "from a bare matrix; use setup(mesh, prob, cfg) or register an "
-          "algebraic-capable variant");
+  const precond::PrecondTraits traits =
+      precond::preconditioner_traits(cfg.preconditioner);
   const auto n = static_cast<std::size_t>(A.rows());
   DDMGNN_CHECK(opts.dirichlet.empty() || opts.dirichlet.size() == n,
                "setup(A): dirichlet mask must have one entry per row");
@@ -216,43 +206,34 @@ std::vector<solver::SolveResult> SolverSession::solve_many(
   obs::Span solve_span("session.solve_many");
   solve_span.arg("rhs", static_cast<double>(rhs.size()));
   xs.resize(rhs.size());
-  const bool block_capable =
-      method_ == solver::KrylovMethod::kCg ||
-      method_ == solver::KrylovMethod::kPcg ||
-      method_ == solver::KrylovMethod::kFpcg;
-  if (block_capable && rhs.size() > 1) {
-    for (const auto& b : rhs) {
-      DDMGNN_CHECK(b.size() == n, "solve_many: rhs size mismatch");
-    }
-    solver::SolveOptions opts;
-    opts.rel_tol = cfg_.rel_tol;
-    opts.max_iterations = cfg_.max_iterations;
-    opts.track_history = cfg_.track_history;
-    opts.precond_fp32 = cfg_.precond_fp32;
-    const la::MultiVector b = la::MultiVector::from_columns(rhs);
-    la::MultiVector x(b.rows(), b.cols(), 0.0);
-    // The block drivers treat the iterate block as the initial guess
-    // (r₀ = B − A·X₀ per column), so seeding is just filling the columns.
-    for (std::size_t i = 0; i < x0s.size(); ++i) {
-      if (x0s[i].empty()) continue;
-      std::copy(x0s[i].begin(), x0s[i].end(),
-                x.col(static_cast<la::Index>(i)).begin());
-    }
-    auto results =
-        solver::run_block_krylov(method_, *a_, *m_inv_, b, x, opts);
-    DDMGNN_CHECK(results.has_value(), "solve_many: block dispatch failed");
-    for (std::size_t i = 0; i < rhs.size(); ++i) {
-      const auto col = x.col(static_cast<la::Index>(i));
-      xs[i].assign(col.begin(), col.end());
-    }
-    return std::move(*results);
+  if (rhs.empty()) return {};
+  if (rhs.size() == 1) {
+    xs[0].assign(rhs[0].size(), 0.0);
+    const bool seeded = !x0s.empty() && !x0s[0].empty();
+    return {solve(rhs[0], xs[0], seeded ? x0s[0] : std::span<const double>{})};
   }
-  std::vector<solver::SolveResult> results;
-  results.reserve(rhs.size());
+  for (const auto& b : rhs) {
+    DDMGNN_CHECK(b.size() == n, "solve_many: rhs size mismatch");
+  }
+  solver::SolveOptions opts;
+  opts.rel_tol = cfg_.rel_tol;
+  opts.max_iterations = cfg_.max_iterations;
+  opts.track_history = cfg_.track_history;
+  opts.precond_fp32 = cfg_.precond_fp32;
+  const la::MultiVector b = la::MultiVector::from_columns(rhs);
+  la::MultiVector x(b.rows(), b.cols(), 0.0);
+  // The block drivers treat the iterate block as the initial guess
+  // (r₀ = B − A·X₀ per column), so seeding is just filling the columns.
+  for (std::size_t i = 0; i < x0s.size(); ++i) {
+    if (x0s[i].empty()) continue;
+    std::copy(x0s[i].begin(), x0s[i].end(),
+              x.col(static_cast<la::Index>(i)).begin());
+  }
+  std::vector<solver::SolveResult> results =
+      solver::run_block_krylov(method_, *a_, *m_inv_, b, x, opts);
   for (std::size_t i = 0; i < rhs.size(); ++i) {
-    xs[i].assign(rhs[i].size(), 0.0);
-    const bool seeded = i < x0s.size() && !x0s[i].empty();
-    results.push_back(solve(rhs[i], xs[i], seeded ? x0s[i] : std::span<const double>{}));
+    const auto col = x.col(static_cast<la::Index>(i));
+    xs[i].assign(col.begin(), col.end());
   }
   return results;
 }

@@ -22,7 +22,7 @@
 //                                              // from synthetic coordinates
 //   session.setup(A, cfg, {dirichlet, coords});// with known extra structure
 //
-// The preconditioner is chosen by name through the string-keyed registry
+// The preconditioner is chosen by name from the fixed preconditioner table
 // (src/precond/registry.hpp) and the Krylov method by the KrylovMethod
 // selector, so both are configuration data rather than call-site code.
 #pragma once
@@ -42,10 +42,10 @@
 
 namespace ddmgnn::core {
 
-/// Configuration of one session: preconditioner by registry name, Krylov
+/// Configuration of one session: preconditioner by table name, Krylov
 /// method by selector, plus decomposition, GNN and coarse-correction knobs.
 struct HybridConfig {
-  /// Registry name: "none", "jacobi", "ic0", "ddm-lu", "ddm-gnn" (see
+  /// Table name: "none", "jacobi", "ic0", "ddm-lu", "ddm-gnn" (see
   /// precond::preconditioner_names()). The coarse correction of the two
   /// Schwarz entries is picked by mg_levels, not by the name.
   std::string preconditioner = "ddm-gnn";
@@ -82,19 +82,10 @@ struct HybridConfig {
   /// 0 drops it (one-level, Eq. 6); the default 1 is the one-shot dense
   /// Nicolaides solve (two-level, Eq. 7); L >= 2 builds a smoothed-
   /// aggregation hierarchy (aggregation coarsening + Galerkin operators)
-  /// and applies it as a recursive cycle: an (L+1)-level method counting
-  /// the fine grid. Negative depths make setup throw ContractError. The
-  /// cycle knobs below only apply at L >= 2.
+  /// and applies it as a V-cycle with one damped-Jacobi sweep before and
+  /// after each intermediate-level correction: an (L+1)-level method
+  /// counting the fine grid. Negative depths make setup throw ContractError.
   int mg_levels = 1;
-  /// "v" or "w": cycle shape on the coarse hierarchy.
-  std::string mg_cycle = "v";
-  /// Intermediate-level smoother: "jacobi" (damped, ω from the power-
-  /// iteration recipe) or "chebyshev" (polynomial of degree
-  /// mg_smooth_steps). The fine level needs no smoother here — the ASM
-  /// subdomain solves (exact Cholesky or DSS inference) fill that role.
-  std::string mg_smoother = "jacobi";
-  /// Pre- and post-smoothing sweeps (Jacobi) / polynomial degree (Chebyshev).
-  int mg_smooth_steps = 1;
   std::uint64_t seed = 0;
   bool track_history = true;
 };
@@ -141,10 +132,9 @@ class SolverSession {
   /// symmetrized stored pattern of `A` (partition::matrix_adjacency) and,
   /// for the GNN preconditioners, graph features come from
   /// `opts.coordinates` or — when empty — synthetic spectral coordinates of
-  /// that same graph. Throws ContractError for unknown names, for registry
-  /// entries whose traits declare no algebraic support
-  /// (PrecondTraits::supports_algebraic == false), for non-square `A`, and
-  /// for mis-sized `opts` spans. `A` must outlive the session's solves.
+  /// that same graph. Throws ContractError for unknown names, for non-square
+  /// `A`, and for mis-sized `opts` spans. `A` must outlive the session's
+  /// solves.
   void setup(const la::CsrMatrix& A, const HybridConfig& cfg,
              const AlgebraicOptions& opts = {});
 
@@ -153,8 +143,7 @@ class SolverSession {
   /// layout). This is the seam for callers that know a better graph than the
   /// matrix pattern (the mesh path passes the mesh adjacency; core's
   /// SessionCache re-keys mesh setups onto its owned operator copies through
-  /// it). No algebraic-support gate applies — providing the graph explicitly
-  /// is the mesh-equivalent. Spans are not retained beyond the call.
+  /// it). Spans are not retained beyond the call.
   void setup_from_graph(const la::CsrMatrix& A, const HybridConfig& cfg,
                         std::span<const la::Offset> adj_ptr,
                         std::span<const la::Index> adj,
@@ -177,12 +166,11 @@ class SolverSession {
   /// Solve the same operator against each right-hand side in `rhs`;
   /// `xs` is resized to match, every solve starting from a zero guess.
   ///
-  /// With two or more right-hand sides and a CG/PCG/FPCG method, all
-  /// right-hand sides advance together through the block-Krylov engine:
-  /// every iteration pays ONE SpMM and ONE block preconditioner application
-  /// (all K·s local solves in one parallel region) instead of one per RHS,
-  /// and finished columns are deflated out. The sequential loop remains for
-  /// a single RHS and for methods without a block form (BiCGStab/GMRES).
+  /// With two or more right-hand sides, all of them advance together
+  /// through the block-Krylov engine (every method has a block form): every
+  /// iteration pays ONE SpMM and ONE block preconditioner application (all
+  /// K·s local solves in one parallel region) instead of one per RHS, and
+  /// finished columns are deflated out. A single RHS runs solve().
   std::vector<solver::SolveResult> solve_many(
       std::span<const std::vector<double>> rhs,
       std::vector<std::vector<double>>& xs) const;
@@ -190,7 +178,7 @@ class SolverSession {
   /// Warm-started solve_many: `x0s` is either empty (zero start for every
   /// column, identical to the overload above) or one guess per right-hand
   /// side, where an empty inner vector means zero start for that column.
-  /// Both the block engine and the sequential fallback honor the seeds (the
+  /// Both the block engine and the single-RHS solve honor the seeds (the
   /// block drivers treat the iterate block as the initial guess).
   std::vector<solver::SolveResult> solve_many(
       std::span<const std::vector<double>> rhs,

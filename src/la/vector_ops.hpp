@@ -3,6 +3,7 @@
 // (Algorithm 1 of the paper), so they are kept allocation-free.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -14,7 +15,11 @@ namespace ddmgnn::la {
 
 inline constexpr long kParallelThreshold = 8192;
 
-/// <x, y>
+/// <x, y>. Run-to-run deterministic at every thread count: above the
+/// threshold each thread sums its contiguous block of the schedule(static)
+/// split and the partials are added in thread order (a reduction clause adds
+/// them in arrival order, which varies between runs at 3+ threads). At 1 and
+/// 2 threads this is bit for bit the reduction's result.
 inline double dot(std::span<const double> x, std::span<const double> y) {
   DDMGNN_CHECK(x.size() == y.size(), "dot: size mismatch");
   const long n = static_cast<long>(x.size());
@@ -23,9 +28,22 @@ inline double dot(std::span<const double> x, std::span<const double> y) {
     for (long i = 0; i < n; ++i) acc += x[i] * y[i];
     return acc;
   }
-#pragma omp parallel for schedule(static) reduction(+ : acc) \
-    num_threads(num_threads())
-  for (long i = 0; i < n; ++i) acc += x[i] * y[i];
+  constexpr int kMaxTeam = 256;
+  double partial[kMaxTeam] = {};
+  int team = 1;
+#pragma omp parallel num_threads(std::min(num_threads(), kMaxTeam))
+  {
+    const long t = omp_get_num_threads();
+    const long id = omp_get_thread_num();
+    // schedule(static): the first n mod t threads take one extra entry.
+    const long begin = id * (n / t) + std::min(id, n % t);
+    const long end = begin + n / t + (id < n % t ? 1 : 0);
+    double s = 0.0;
+    for (long i = begin; i < end; ++i) s += x[i] * y[i];
+    partial[id] = s;
+    if (id == 0) team = static_cast<int>(t);
+  }
+  for (int i = 0; i < team; ++i) acc += partial[i];
   return acc;
 }
 

@@ -1,11 +1,10 @@
 #include "precond/registry.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
-// The registry is the one place that knows every built-in, including the
+// The table is the one place that knows every preconditioner, including the
 // GNN-backed ones from src/core — a deliberate, contained layering exception
 // so that callers get a complete name table from a single lookup point.
 #include "core/gnn_subdomain_solver.hpp"
@@ -63,7 +62,7 @@ std::unique_ptr<SubdomainSolver> make_gnn_local(const PrecondContext& ctx,
 }
 
 // The coarse correction ctx.mg_levels selects: none at depth 0, the dense
-// Nicolaides solve at depth 1, a smoothed-aggregation V/W-cycle built under
+// Nicolaides solve at depth 1, a smoothed-aggregation V-cycle built under
 // the setup.hierarchy phase at depth >= 2.
 std::unique_ptr<partition::CoarseComponent> make_coarse(
     const la::CsrMatrix& A, const partition::Decomposition& dec,
@@ -78,27 +77,13 @@ std::unique_ptr<partition::CoarseComponent> make_coarse(
     obs::PhaseTimer t("setup.coarse_space", &g);
     return std::make_unique<partition::NicolaidesCoarseSpace>(A, dec);
   }
-  DDMGNN_CHECK(ctx.mg_cycle == "v" || ctx.mg_cycle == "w",
-               std::string(name) + ": mg_cycle must be 'v' or 'w', got '" +
-                   ctx.mg_cycle + "'");
-  DDMGNN_CHECK(ctx.mg_smoother == "jacobi" || ctx.mg_smoother == "chebyshev",
-               std::string(name) +
-                   ": mg_smoother must be 'jacobi' or 'chebyshev', got '" +
-                   ctx.mg_smoother + "'");
-  DDMGNN_CHECK(ctx.mg_smooth_steps >= 1,
-               std::string(name) + ": mg_smooth_steps must be >= 1");
   static obs::Gauge& g =
       obs::Registry::instance().gauge("setup.hierarchy_seconds");
   obs::PhaseTimer t("setup.hierarchy", &g);
   mg::HierarchyOptions opts;
   opts.levels = ctx.mg_levels;
   opts.seed = ctx.seed;
-  mg::CycleConfig cc;
-  cc.w_cycle = ctx.mg_cycle == "w";
-  cc.smoother = ctx.mg_smoother == "chebyshev" ? mg::Smoother::kChebyshev
-                                               : mg::Smoother::kJacobi;
-  cc.smooth_steps = ctx.mg_smooth_steps;
-  return std::make_unique<mg::VCycle>(mg::build_hierarchy(A, dec, opts), cc);
+  return std::make_unique<mg::VCycle>(mg::build_hierarchy(A, dec, opts));
 }
 
 std::unique_ptr<Preconditioner> make_schwarz(
@@ -111,116 +96,82 @@ std::unique_ptr<Preconditioner> make_schwarz(
                                            std::move(coarse));
 }
 
-}  // namespace
+using Factory = std::unique_ptr<Preconditioner> (*)(const PrecondContext&);
 
-PrecondRegistry::PrecondRegistry() {
-  add("none", PrecondTraits{}, [](const PrecondContext& ctx) {
-    require_matrix(ctx);
-    return std::make_unique<IdentityPreconditioner>();
-  });
-  add("jacobi", PrecondTraits{}, [](const PrecondContext& ctx) {
-    return std::make_unique<JacobiPreconditioner>(
-        require_matrix(ctx).diagonal());
-  });
-  add("ic0", PrecondTraits{}, [](const PrecondContext& ctx) {
-    return std::make_unique<Ic0Preconditioner>(require_matrix(ctx));
-  });
-  add("ddm-lu", PrecondTraits{.needs_decomposition = true},
-      [](const PrecondContext& ctx) {
-        return make_schwarz(ctx, "ddm-lu",
-                            std::make_unique<CholeskySubdomainSolver>());
-      });
-  add("ddm-gnn",
-      PrecondTraits{.needs_decomposition = true,
-                    .needs_model = true,
-                    .symmetric = false,
-                    .needs_geometry = true},
-      [](const PrecondContext& ctx) {
-        return make_schwarz(ctx, "ddm-gnn", make_gnn_local(ctx, "ddm-gnn"));
-      });
-  add_alias("identity", "none");
-}
+struct Entry {
+  std::string_view name;
+  PrecondTraits traits;
+  Factory make;
+};
 
-PrecondRegistry& PrecondRegistry::instance() {
-  static PrecondRegistry registry;
-  return registry;
-}
+// Sorted by name: preconditioner_names() lists them in table order.
+constexpr Entry kTable[] = {
+    {"ddm-gnn",
+     {.needs_decomposition = true,
+      .needs_model = true,
+      .symmetric = false,
+      .needs_geometry = true},
+     [](const PrecondContext& ctx) {
+       return make_schwarz(ctx, "ddm-gnn", make_gnn_local(ctx, "ddm-gnn"));
+     }},
+    {"ddm-lu", {.needs_decomposition = true},
+     [](const PrecondContext& ctx) {
+       return make_schwarz(ctx, "ddm-lu",
+                           std::make_unique<CholeskySubdomainSolver>());
+     }},
+    {"ic0", {},
+     [](const PrecondContext& ctx) -> std::unique_ptr<Preconditioner> {
+       return std::make_unique<Ic0Preconditioner>(require_matrix(ctx));
+     }},
+    {"jacobi", {},
+     [](const PrecondContext& ctx) -> std::unique_ptr<Preconditioner> {
+       return std::make_unique<JacobiPreconditioner>(
+           require_matrix(ctx).diagonal());
+     }},
+    {"none", {},
+     [](const PrecondContext& ctx) -> std::unique_ptr<Preconditioner> {
+       require_matrix(ctx);
+       return std::make_unique<IdentityPreconditioner>();
+     }},
+};
 
-void PrecondRegistry::add(std::string name, PrecondTraits traits,
-                          PrecondFactory factory) {
-  DDMGNN_CHECK(!contains(name),
-               "preconditioner '" + name + "' is already registered");
-  entries_.push_back(Entry{std::move(name), traits, std::move(factory)});
-}
+constexpr std::pair<std::string_view, std::string_view> kAliases[] = {
+    {"identity", "none"}};
 
-void PrecondRegistry::add_alias(std::string alias, std::string canonical) {
-  DDMGNN_CHECK(!contains(alias),
-               "preconditioner alias '" + alias + "' is already registered");
-  find(canonical);  // validates the target exists
-  aliases_.emplace_back(std::move(alias), std::move(canonical));
-}
-
-const PrecondRegistry::Entry& PrecondRegistry::find(
-    std::string_view name) const {
+const Entry& lookup(std::string_view name) {
   std::string_view resolved = name;
-  for (const auto& [alias, canonical] : aliases_) {
-    if (alias == name) {
-      resolved = canonical;
-      break;
-    }
+  for (const auto& [alias, canonical] : kAliases) {
+    if (alias == name) resolved = canonical;
   }
-  for (const Entry& e : entries_) {
+  for (const Entry& e : kTable) {
     if (e.name == resolved) return e;
   }
   std::ostringstream msg;
-  msg << "unknown preconditioner '" << name << "'; registered:";
-  for (const std::string& n : names()) msg << " " << n;
+  msg << "unknown preconditioner '" << name << "'; known:";
+  for (const Entry& e : kTable) msg << " " << e.name;
   DDMGNN_CHECK(false, msg.str());
   std::abort();  // unreachable: DDMGNN_CHECK(false) throws
 }
 
-bool PrecondRegistry::contains(std::string_view name) const {
-  for (const auto& [alias, canonical] : aliases_) {
-    if (alias == name) return true;
-  }
-  for (const Entry& e : entries_) {
-    if (e.name == name) return true;
-  }
-  return false;
-}
+}  // namespace
 
-const std::string& PrecondRegistry::canonical(std::string_view name) const {
-  return find(name).name;
-}
-
-const PrecondTraits& PrecondRegistry::traits(std::string_view name) const {
-  return find(name).traits;
-}
-
-std::unique_ptr<Preconditioner> PrecondRegistry::create(
-    std::string_view name, const PrecondContext& ctx) const {
-  return find(name).factory(ctx);
-}
-
-std::vector<std::string> PrecondRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.name);
-  std::sort(out.begin(), out.end());
-  return out;
+std::string_view canonical_preconditioner_name(std::string_view name) {
+  return lookup(name).name;
 }
 
 std::unique_ptr<Preconditioner> make_preconditioner(std::string_view name,
                                                     const PrecondContext& ctx) {
-  return PrecondRegistry::instance().create(name, ctx);
+  return lookup(name).make(ctx);
 }
 
 const PrecondTraits& preconditioner_traits(std::string_view name) {
-  return PrecondRegistry::instance().traits(name);
+  return lookup(name).traits;
 }
 
 std::vector<std::string> preconditioner_names() {
-  return PrecondRegistry::instance().names();
+  std::vector<std::string> out;
+  for (const Entry& e : kTable) out.emplace_back(e.name);
+  return out;
 }
 
 }  // namespace ddmgnn::precond

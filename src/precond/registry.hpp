@@ -1,24 +1,19 @@
-// String-keyed preconditioner registry: maps names ("none", "jacobi", "ic0",
-// "ddm-lu", "ddm-gnn") to factories returning
-// `std::unique_ptr<Preconditioner>`, so the choice of preconditioner is data
-// (a config string) instead of call-site enum-switch code. The registry also
-// carries per-entry traits — whether a factory needs a domain decomposition
-// or a trained DSS model, and whether the resulting operator is symmetric —
-// which is what SolverSession uses to decide how much setup to build and
-// which Krylov method is safe by default.
+// The preconditioner table: a fixed, file-local map from the five names
+// ("none", "jacobi", "ic0", "ddm-lu", "ddm-gnn", plus the alias "identity"
+// for "none") to factories returning `std::unique_ptr<Preconditioner>`, so
+// the choice of preconditioner is data (a config string) instead of
+// call-site enum-switch code. Each entry also carries traits — whether its
+// factory needs a domain decomposition, geometry or a trained DSS model, and
+// whether the resulting operator is symmetric — which is what SolverSession
+// uses to decide how much setup to build and which Krylov method is safe by
+// default.
 //
 // The two Schwarz entries differ only in their local solver. Their coarse
 // correction is chosen by PrecondContext::mg_levels alone: 0 = none
 // (one-level, Eq. 6), 1 = Nicolaides (two-level, Eq. 7), >= 2 = a
-// smoothed-aggregation V/W-cycle.
-//
-// Built-in names are registered on first use; callers may add their own
-// factories (e.g. a multigrid or a new learned preconditioner) under fresh
-// names and select them through the same `HybridConfig::preconditioner`
-// string without touching the solver core.
+// smoothed-aggregation V-cycle.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -75,19 +70,15 @@ struct PrecondContext {
   bool gnn_fp32_fallback = false;
   /// Coarse correction of the Schwarz entries: 0 = none (one-level), 1 =
   /// the dense Nicolaides solve (two-level, the default), L >= 2 = a
-  /// smoothed-aggregation hierarchy of depth L applied as a V/W-cycle.
-  /// Negative values are rejected. The cycle knobs below only apply at
-  /// L >= 2.
+  /// smoothed-aggregation hierarchy of depth L applied as a V-cycle.
+  /// Negative values are rejected.
   int mg_levels = 1;
-  std::string mg_cycle = "v";        // "v" | "w"
-  std::string mg_smoother = "jacobi";  // "jacobi" | "chebyshev"
-  int mg_smooth_steps = 1;
   /// Seed for the hierarchy's power-iteration damping estimates.
   std::uint64_t seed = 0;
 };
 
-/// Static facts about a registered preconditioner, consulted *before*
-/// construction so the session only builds the setup state a factory needs.
+/// Static facts about a table entry, consulted *before* construction so the
+/// session only builds the setup state a factory needs.
 struct PrecondTraits {
   bool needs_decomposition = false;
   bool needs_model = false;
@@ -96,54 +87,15 @@ struct PrecondTraits {
   bool symmetric = true;
   /// Consumes node coordinates + a message-graph pattern (the GNN entries).
   bool needs_geometry = false;
-  /// Whether setup can run from a bare assembled operator
-  /// (SolverSession::setup(A, cfg)): everything the factory needs is either
-  /// in the matrix or synthesizable from its graph. Entries registered with
-  /// false are mesh-bound and the matrix-first path refuses them.
-  bool supports_algebraic = true;
 };
 
-using PrecondFactory =
-    std::function<std::unique_ptr<Preconditioner>(const PrecondContext&)>;
-
-class PrecondRegistry {
- public:
-  /// Process-wide registry, built-ins pre-registered.
-  static PrecondRegistry& instance();
-
-  /// Register a factory under `name`. Throws ContractError on duplicates.
-  void add(std::string name, PrecondTraits traits, PrecondFactory factory);
-  /// Register `alias` as another spelling of the existing `canonical` name.
-  void add_alias(std::string alias, std::string canonical);
-
-  bool contains(std::string_view name) const;
-  /// Resolve aliases to the canonical name. Throws ContractError listing the
-  /// known names when `name` is not registered.
-  const std::string& canonical(std::string_view name) const;
-  const PrecondTraits& traits(std::string_view name) const;
-  std::unique_ptr<Preconditioner> create(std::string_view name,
-                                         const PrecondContext& ctx) const;
-  /// Canonical names, sorted (aliases excluded).
-  std::vector<std::string> names() const;
-
- private:
-  PrecondRegistry();
-
-  struct Entry {
-    std::string name;
-    PrecondTraits traits;
-    PrecondFactory factory;
-  };
-  const Entry& find(std::string_view name) const;
-
-  std::vector<Entry> entries_;
-  std::vector<std::pair<std::string, std::string>> aliases_;
-};
-
-/// Convenience wrappers over PrecondRegistry::instance().
+/// Resolve an alias to its canonical table name. Every lookup below throws
+/// ContractError listing the known names when `name` is not in the table.
+std::string_view canonical_preconditioner_name(std::string_view name);
 std::unique_ptr<Preconditioner> make_preconditioner(std::string_view name,
                                                     const PrecondContext& ctx);
 const PrecondTraits& preconditioner_traits(std::string_view name);
+/// Canonical names, sorted (aliases excluded).
 std::vector<std::string> preconditioner_names();
 
 }  // namespace ddmgnn::precond

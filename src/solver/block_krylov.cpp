@@ -457,7 +457,7 @@ std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
   return std::move(cols.results);
 }
 
-std::optional<std::vector<SolveResult>> run_block_krylov(
+std::vector<SolveResult> run_block_krylov(
     KrylovMethod method, const CsrMatrix& a, const precond::Preconditioner& m,
     const MultiVector& b, MultiVector& x, const SolveOptions& opts) {
   switch (method) {
@@ -469,11 +469,9 @@ std::optional<std::vector<SolveResult>> run_block_krylov(
       return block_pcg(a, m, b, x, opts);
     case KrylovMethod::kFpcg:
       return block_flexible_pcg(a, m, b, x, opts);
-    case KrylovMethod::kBicgstab:
-    case KrylovMethod::kGmres:
-      return std::nullopt;
   }
-  return std::nullopt;
+  DDMGNN_CHECK(false, "run_block_krylov: unknown method");
+  std::abort();  // unreachable
 }
 
 }  // namespace ddmgnn::solver

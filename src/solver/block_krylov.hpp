@@ -30,7 +30,6 @@
 //    correctness net.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "la/multivector.hpp"
@@ -58,10 +57,8 @@ std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
 
 /// Block dispatch mirroring run_krylov: kPcg → block_pcg, kFpcg →
 /// block_flexible_pcg, kCg → block_pcg with the identity preconditioner
-/// (bit-identical to scalar CG per column). Methods without a block form
-/// (BiCGStab, GMRES) return nullopt — callers fall back to a sequential
-/// loop.
-std::optional<std::vector<SolveResult>> run_block_krylov(
+/// (bit-identical to scalar CG per column, which runs the same recurrence).
+std::vector<SolveResult> run_block_krylov(
     KrylovMethod method, const CsrMatrix& a, const precond::Preconditioner& m,
     const la::MultiVector& b, la::MultiVector& x,
     const SolveOptions& opts = {});

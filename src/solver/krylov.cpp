@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -42,16 +43,13 @@ const char* krylov_method_name(KrylovMethod method) {
     case KrylovMethod::kCg: return "cg";
     case KrylovMethod::kPcg: return "pcg";
     case KrylovMethod::kFpcg: return "fpcg";
-    case KrylovMethod::kBicgstab: return "bicgstab";
-    case KrylovMethod::kGmres: return "gmres";
   }
   return "?";
 }
 
 std::optional<KrylovMethod> krylov_method_from_name(std::string_view name) {
   for (const KrylovMethod m :
-       {KrylovMethod::kCg, KrylovMethod::kPcg, KrylovMethod::kFpcg,
-        KrylovMethod::kBicgstab, KrylovMethod::kGmres}) {
+       {KrylovMethod::kCg, KrylovMethod::kPcg, KrylovMethod::kFpcg}) {
     if (name == krylov_method_name(m)) return m;
   }
   return std::nullopt;
@@ -75,8 +73,8 @@ obs::FailureReason classify_failure(const SolveResult& res,
   if (res.iterations >= opts.max_iterations) {
     return FailureReason::kMaxIterations;
   }
-  // Early exit below the iteration budget (e.g. a BiCGStab breakdown):
-  // progress stopped, which is stagnation in all but name.
+  // Stopped below the iteration budget without converging: progress
+  // stopped, which is stagnation in all but name.
   return res.history.empty() ? FailureReason::kMaxIterations
                              : FailureReason::kStagnated;
 }
@@ -107,55 +105,18 @@ void finalize_solve_telemetry(SolveResult& res, const SolveOptions& opts) {
   }
 }
 
-SolveResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
-                               std::span<double> x, const SolveOptions& opts) {
-  check_dims(a, b, x);
-  Timer timer;
-  SolveResult res;
-  res.method = krylov_method_name(KrylovMethod::kCg);
-  const std::size_t n = b.size();
-  std::vector<double> r(n), p(n), q(n);
-  a.multiply(x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  std::copy(r.begin(), r.end(), p.begin());
-  const double nb = norm2(b);
-  const double stop = opts.rel_tol * (nb > 0.0 ? nb : 1.0);
-  double rho = dot(r, r);
-  double rnorm = std::sqrt(rho);
-  if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
-  int it = 0;
-  while (rnorm > stop && it < opts.max_iterations) {
-    obs::Span iter_span("cg.iter");
-    a.multiply(p, q);
-    const double alpha = rho / dot(p, q);
-    axpy(alpha, p, x);
-    axpy(-alpha, q, r);
-    const double rho_next = dot(r, r);
-    const double beta = rho_next / rho;
-    xpay(r, beta, p);
-    rho = rho_next;
-    rnorm = std::sqrt(rho);
-    ++it;
-    if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
-    iter_span.arg("iter", it);
-    iter_span.arg("rel_residual", rnorm / (nb > 0 ? nb : 1.0));
-  }
-  res.iterations = it;
-  res.converged = rnorm <= stop;
-  res.final_relative_residual = rnorm / (nb > 0 ? nb : 1.0);
-  res.total_seconds = timer.seconds();
-  finalize_solve_telemetry(res, opts);
-  return res;
-}
+namespace {
 
-SolveResult pcg(const CsrMatrix& a, const precond::Preconditioner& m,
-                std::span<const double> b, std::span<double> x,
-                const SolveOptions& opts) {
+/// Algorithm 1 under the given SolveResult::method label: the body of pcg,
+/// and of conjugate_gradient over the identity preconditioner.
+SolveResult pcg_labelled(const CsrMatrix& a, const precond::Preconditioner& m,
+                         std::span<const double> b, std::span<double> x,
+                         const SolveOptions& opts, std::string label) {
   check_dims(a, b, x);
   Timer timer;
   Accumulator precond_time;
   SolveResult res;
-  res.method = method_label(KrylovMethod::kPcg, m);
+  res.method = std::move(label);
   std::vector<double>* series = forensic_series(res);
   const std::size_t n = b.size();
   // One preconditioner workspace per solve: applies stay allocation-free in
@@ -210,6 +171,21 @@ SolveResult pcg(const CsrMatrix& a, const precond::Preconditioner& m,
   res.precond_seconds = precond_time.total();
   finalize_solve_telemetry(res, opts);
   return res;
+}
+
+}  // namespace
+
+SolveResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
+                               std::span<double> x, const SolveOptions& opts) {
+  static const precond::IdentityPreconditioner identity;
+  return pcg_labelled(a, identity, b, x, opts,
+                      krylov_method_name(KrylovMethod::kCg));
+}
+
+SolveResult pcg(const CsrMatrix& a, const precond::Preconditioner& m,
+                std::span<const double> b, std::span<double> x,
+                const SolveOptions& opts) {
+  return pcg_labelled(a, m, b, x, opts, method_label(KrylovMethod::kPcg, m));
 }
 
 SolveResult flexible_pcg(const CsrMatrix& a, const precond::Preconditioner& m,
@@ -286,184 +262,6 @@ SolveResult flexible_pcg(const CsrMatrix& a, const precond::Preconditioner& m,
   return res;
 }
 
-SolveResult bicgstab(const CsrMatrix& a, const precond::Preconditioner& m,
-                     std::span<const double> b, std::span<double> x,
-                     const SolveOptions& opts) {
-  check_dims(a, b, x);
-  Timer timer;
-  Accumulator precond_time;
-  SolveResult res;
-  res.method = method_label(KrylovMethod::kBicgstab, m);
-  std::vector<double>* series = forensic_series(res);
-  const std::size_t n = b.size();
-  const auto ws = m.make_workspace();
-  std::vector<double> r(n), r0(n), p(n), v(n), s(n), t(n), ph(n), sh(n);
-  a.multiply(x, r);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  std::copy(r.begin(), r.end(), r0.begin());
-  const double nb = norm2(b);
-  const double stop = opts.rel_tol * (nb > 0.0 ? nb : 1.0);
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-  std::fill(p.begin(), p.end(), 0.0);
-  std::fill(v.begin(), v.end(), 0.0);
-  double rnorm = norm2(r);
-  if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
-  int it = 0;
-  while (rnorm > stop && it < opts.max_iterations) {
-    obs::Span iter_span("bicgstab.iter");
-    const double rho_next = dot(r0, r);
-    if (rho_next == 0.0) break;  // breakdown
-    const double beta = (rho_next / rho) * (alpha / omega);
-    rho = rho_next;
-    for (std::size_t i = 0; i < n; ++i) p[i] = r[i] + beta * (p[i] - omega * v[i]);
-    {
-      PrecondScope tt(precond_time, series);
-      m.apply(p, ph, ws.get());
-    }
-    a.multiply(ph, v);
-    alpha = rho / dot(r0, v);
-    for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
-    if (norm2(s) <= stop) {
-      axpy(alpha, ph, x);
-      r = s;
-      rnorm = norm2(r);
-      ++it;
-      if (history_enabled(opts))
-        res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
-      iter_span.arg("iter", it);
-      iter_span.arg("rel_residual", rnorm / (nb > 0 ? nb : 1.0));
-      break;
-    }
-    {
-      PrecondScope tt(precond_time, series);
-      m.apply(s, sh, ws.get());
-    }
-    a.multiply(sh, t);
-    const double tt_dot = dot(t, t);
-    if (tt_dot == 0.0) break;
-    omega = dot(t, s) / tt_dot;
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * ph[i] + omega * sh[i];
-      r[i] = s[i] - omega * t[i];
-    }
-    rnorm = norm2(r);
-    ++it;
-    if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
-    iter_span.arg("iter", it);
-    iter_span.arg("rel_residual", rnorm / (nb > 0 ? nb : 1.0));
-    if (omega == 0.0) break;
-  }
-  res.iterations = it;
-  res.converged = rnorm <= stop;
-  res.final_relative_residual = rnorm / (nb > 0 ? nb : 1.0);
-  res.total_seconds = timer.seconds();
-  res.precond_seconds = precond_time.total();
-  finalize_solve_telemetry(res, opts);
-  return res;
-}
-
-SolveResult gmres(const CsrMatrix& a, const precond::Preconditioner& m,
-                  std::span<const double> b, std::span<double> x,
-                  const SolveOptions& opts) {
-  check_dims(a, b, x);
-  const int restart = opts.gmres_restart;
-  DDMGNN_CHECK(restart >= 1, "gmres: restart must be >= 1");
-  Timer timer;
-  Accumulator precond_time;
-  SolveResult res;
-  res.method = method_label(KrylovMethod::kGmres, m);
-  std::vector<double>* series = forensic_series(res);
-  const std::size_t n = b.size();
-  const auto ws = m.make_workspace();
-  const double nb = norm2(b);
-  const double stop = opts.rel_tol * (nb > 0.0 ? nb : 1.0);
-
-  std::vector<std::vector<double>> basis;  // Krylov basis v_0..v_m
-  std::vector<std::vector<double>> zs;     // preconditioned basis vectors
-  std::vector<double> r(n), w(n), zw(n);
-  // Hessenberg in column-major (restart+1) x restart, plus Givens rotations.
-  std::vector<double> h((restart + 1) * restart, 0.0);
-  std::vector<double> cs(restart), sn(restart), g(restart + 1);
-
-  int total_it = 0;
-  double rnorm = 0.0;
-  bool first = true;
-  while (true) {
-    a.multiply(x, r);
-    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-    rnorm = norm2(r);
-    if (first && history_enabled(opts)) {
-      res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
-    }
-    first = false;
-    if (rnorm <= stop || total_it >= opts.max_iterations) break;
-
-    basis.assign(1, r);
-    la::scale(1.0 / rnorm, basis[0]);
-    zs.clear();
-    std::fill(g.begin(), g.end(), 0.0);
-    g[0] = rnorm;
-    int k = 0;
-    for (; k < restart && total_it < opts.max_iterations; ++k) {
-      obs::Span iter_span("gmres.iter");
-      {
-        PrecondScope t(precond_time, series);
-        m.apply(basis[k], zw, ws.get());
-      }
-      zs.push_back(zw);
-      a.multiply(zw, w);
-      // Modified Gram-Schmidt.
-      for (int j = 0; j <= k; ++j) {
-        const double hij = dot(w, basis[j]);
-        h[j * restart + k] = hij;
-        axpy(-hij, basis[j], w);
-      }
-      const double hk1 = norm2(w);
-      basis.emplace_back(w);
-      if (hk1 > 0.0) la::scale(1.0 / hk1, basis.back());
-      // Apply previous Givens rotations to the new column.
-      for (int j = 0; j < k; ++j) {
-        const double t1 = cs[j] * h[j * restart + k] + sn[j] * h[(j + 1) * restart + k];
-        const double t2 = -sn[j] * h[j * restart + k] + cs[j] * h[(j + 1) * restart + k];
-        h[j * restart + k] = t1;
-        h[(j + 1) * restart + k] = t2;
-      }
-      const double denom = std::hypot(h[k * restart + k], hk1);
-      cs[k] = denom == 0.0 ? 1.0 : h[k * restart + k] / denom;
-      sn[k] = denom == 0.0 ? 0.0 : hk1 / denom;
-      h[k * restart + k] = denom;
-      g[k + 1] = -sn[k] * g[k];
-      g[k] = cs[k] * g[k];
-      ++total_it;
-      rnorm = std::abs(g[k + 1]);
-      if (history_enabled(opts))
-        res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
-      iter_span.arg("iter", total_it);
-      iter_span.arg("rel_residual", rnorm / (nb > 0 ? nb : 1.0));
-      if (rnorm <= stop) {
-        ++k;
-        break;
-      }
-    }
-    // Back-substitute y and update x += Σ y_j z_j (right preconditioning).
-    std::vector<double> y(k, 0.0);
-    for (int i = k - 1; i >= 0; --i) {
-      double acc = g[i];
-      for (int j = i + 1; j < k; ++j) acc -= h[i * restart + j] * y[j];
-      y[i] = acc / h[i * restart + i];
-    }
-    for (int j = 0; j < k; ++j) axpy(y[j], zs[j], x);
-    if (total_it >= opts.max_iterations) break;
-  }
-  res.iterations = total_it;
-  res.converged = rnorm <= stop;
-  res.final_relative_residual = rnorm / (nb > 0 ? nb : 1.0);
-  res.total_seconds = timer.seconds();
-  res.precond_seconds = precond_time.total();
-  finalize_solve_telemetry(res, opts);
-  return res;
-}
-
 SolveResult run_krylov(KrylovMethod method, const CsrMatrix& a,
                        const precond::Preconditioner& m,
                        std::span<const double> b, std::span<double> x,
@@ -477,8 +275,6 @@ SolveResult run_krylov(KrylovMethod method, const CsrMatrix& a,
     case KrylovMethod::kCg: return conjugate_gradient(a, b, x, opts);
     case KrylovMethod::kPcg: return pcg(a, m, b, x, opts);
     case KrylovMethod::kFpcg: return flexible_pcg(a, m, b, x, opts);
-    case KrylovMethod::kBicgstab: return bicgstab(a, m, b, x, opts);
-    case KrylovMethod::kGmres: return gmres(a, m, b, x, opts);
   }
   DDMGNN_CHECK(false, "run_krylov: unknown method");
   std::abort();  // unreachable

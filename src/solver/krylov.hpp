@@ -1,9 +1,10 @@
-// Krylov solvers (paper §II): CG, preconditioned CG exactly as Algorithm 1,
-// flexible PCG (Polak–Ribière β — required when the preconditioner is not a
-// fixed SPD operator, which is the case for DDM-GNN), BiCGStab and restarted
-// GMRES for non-symmetric settings. All report per-iteration relative
-// residual histories (Fig. 5b) and the accumulated preconditioner time
-// (Table III's T_lu / T_gnn columns).
+// Krylov solvers (paper §II) for the SPD systems this library serves:
+// preconditioned CG exactly as Algorithm 1, plain CG (the same recurrence
+// over the identity preconditioner) and flexible PCG (Polak–Ribière β —
+// required when the preconditioner is not a fixed SPD operator, which is the
+// case for DDM-GNN). All report per-iteration relative residual histories
+// (Fig. 5b) and the accumulated preconditioner time (Table III's T_lu /
+// T_gnn columns).
 #pragma once
 
 #include <functional>
@@ -24,14 +25,12 @@ using la::CsrMatrix;
 /// The Krylov methods this module implements, as data: configs carry one of
 /// these instead of call sites hard-coding which solver function to invoke.
 enum class KrylovMethod {
-  kCg,        // unpreconditioned conjugate gradient
-  kPcg,       // Algorithm 1 (Fletcher–Reeves)
-  kFpcg,      // flexible PCG (Polak–Ribière) — safe for nonlinear M⁻¹
-  kBicgstab,  // right-preconditioned BiCGStab
-  kGmres,     // restarted GMRES, right preconditioning
+  kCg,    // unpreconditioned conjugate gradient
+  kPcg,   // Algorithm 1 (Fletcher–Reeves)
+  kFpcg,  // flexible PCG (Polak–Ribière) — safe for nonlinear M⁻¹
 };
 
-/// Canonical lowercase name: "cg", "pcg", "fpcg", "bicgstab", "gmres".
+/// Canonical lowercase name: "cg", "pcg", "fpcg".
 /// SolveResult::method strings are prefixed with exactly these.
 const char* krylov_method_name(KrylovMethod method);
 
@@ -43,14 +42,13 @@ struct SolveOptions {
   /// Convergence: ||r_k|| <= rel_tol * ||b||.
   double rel_tol = 1e-6;
   bool track_history = true;
-  /// Restart length when the method is KrylovMethod::kGmres.
-  int gmres_restart = 50;
   /// Mixed-precision preconditioning: round the residual handed to M⁻¹ and
   /// the correction it returns through fp32 while every outer recurrence
-  /// (x, r, dots, norms) stays fp64. Honored by pcg / flexible_pcg and both
-  /// block drivers. The rounding makes M effectively nonlinear, so pair it
-  /// with kFpcg (SolverSession's default-method selection does this); the
-  /// block path's per-column true-residual verification guards it further.
+  /// (x, r, dots, norms) stays fp64. Honored by every scalar and block
+  /// driver (plain CG rounds around its identity apply too). The rounding
+  /// makes M effectively nonlinear, so pair it with kFpcg (SolverSession's
+  /// default-method selection does this); the block path's per-column
+  /// true-residual verification guards it further.
   bool precond_fp32 = false;
   /// Warm-start guess: when non-empty (size n), run_krylov copies it into
   /// `x` before dispatching, so the solve starts from x0 instead of whatever
@@ -100,7 +98,9 @@ obs::FailureReason classify_failure(const SolveResult& res,
 /// solver.failures_total{method=...,reason=...}).
 void finalize_solve_telemetry(SolveResult& res, const SolveOptions& opts);
 
-/// Unpreconditioned conjugate gradient.
+/// Unpreconditioned conjugate gradient: pcg's recurrence over the identity
+/// preconditioner (z = r, so every α, β, residual and iterate is plain
+/// CG's), labelled "cg". The identity copy counts as preconditioner time.
 SolveResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
                                std::span<double> x,
                                const SolveOptions& opts = {});
@@ -115,17 +115,6 @@ SolveResult pcg(const CsrMatrix& a, const precond::Preconditioner& m,
 SolveResult flexible_pcg(const CsrMatrix& a, const precond::Preconditioner& m,
                          std::span<const double> b, std::span<double> x,
                          const SolveOptions& opts = {});
-
-/// Preconditioned BiCGStab (right preconditioning).
-SolveResult bicgstab(const CsrMatrix& a, const precond::Preconditioner& m,
-                     std::span<const double> b, std::span<double> x,
-                     const SolveOptions& opts = {});
-
-/// Restarted GMRES(m) with right preconditioning; the restart length is
-/// opts.gmres_restart.
-SolveResult gmres(const CsrMatrix& a, const precond::Preconditioner& m,
-                  std::span<const double> b, std::span<double> x,
-                  const SolveOptions& opts = {});
 
 /// Dispatch on `method` (kCg ignores `m`).
 /// This is the single entry point SolverSession and the tools route through.

@@ -1,6 +1,6 @@
-// Equivalence suite for the matrix-first setup path: for every registry
-// configuration (each Schwarz entry at mg_levels 0, 1 and 2) that supports
-// the algebraic path, setup(mesh, prob, cfg) and
+// Equivalence suite for the matrix-first setup path: for every
+// preconditioner configuration (each Schwarz entry at mg_levels 0, 1 and 2),
+// setup(mesh, prob, cfg) and
 // setup(prob.A, cfg, ...) must produce *identical* iteration counts and
 // matching solutions (tol 1e-12) on the same Poisson operator.
 //
@@ -133,7 +133,6 @@ TEST(AlgebraicSetup, EveryAlgebraicCapableEntryMatchesMeshSetup) {
   int covered = 0;
   for (const test::PrecondConfig& c : test::precond_configs()) {
     const auto& traits = precond::preconditioner_traits(c.name);
-    if (!traits.supports_algebraic) continue;
     ++covered;
     core::HybridConfig cfg =
         base_config(c.name, traits.needs_model ? &model : nullptr);
@@ -153,11 +152,8 @@ TEST(AlgebraicSetup, EveryAlgebraicCapableEntryMatchesMeshSetup) {
 
     expect_equal_solves(mesh_session, alg_session, prob, c.label());
   }
-  // All 9 built-in configurations support the algebraic path (>= keeps this
-  // robust to the mesh-bound entry another TEST in this binary registers —
-  // the registry is a process-wide singleton, so test order must not
-  // matter).
-  EXPECT_GE(covered, 9);
+  // Every configuration of the fixed table runs the algebraic path.
+  EXPECT_EQ(covered, 9);
 }
 
 // Graph-free entries must agree even on the standard assembly that drops
@@ -207,37 +203,6 @@ TEST(AlgebraicSetup, SpectralCoordinatesAreDeterministicAndFinite) {
     spread = std::max(spread, std::abs(c1[i].x) + std::abs(c1[i].y));
   }
   EXPECT_GT(spread, 0.0);  // a non-degenerate layout, not all-zeros
-}
-
-// Mesh-bound registry entries (traits.supports_algebraic == false) must be
-// rejected by the matrix-first path with an actionable ContractError.
-TEST(AlgebraicSetup, MeshBoundEntryThrowsActionableError) {
-  auto& reg = precond::PrecondRegistry::instance();
-  const std::string name = "test-mesh-bound";
-  if (!reg.contains(name)) {
-    precond::PrecondTraits traits;
-    traits.supports_algebraic = false;
-    reg.add(name, traits, [](const precond::PrecondContext&) {
-      return std::unique_ptr<precond::Preconditioner>(
-          new precond::IdentityPreconditioner());
-    });
-  }
-  auto [m, prob] = make_problem(/*keep_pattern=*/false);
-  core::HybridConfig cfg;
-  cfg.preconditioner = name;
-  core::SolverSession session;
-  try {
-    session.setup(prob.A, cfg);
-    FAIL() << "expected ContractError";
-  } catch (const ContractError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(name), std::string::npos) << what;
-    EXPECT_NE(what.find("setup(mesh, prob, cfg)"), std::string::npos) << what;
-  }
-  EXPECT_FALSE(session.ready());
-  // The mesh path still accepts the same entry.
-  session.setup(m, prob, cfg);
-  EXPECT_TRUE(session.ready());
 }
 
 TEST(AlgebraicSetup, RejectsMalformedInputs) {

@@ -1,12 +1,14 @@
 // Tests of the batched multi-RHS solve engine: MultiVector kernels and the
 // fused SpMM, Preconditioner::apply_many column-equivalence for every
-// registry configuration, block-PCG lockstep equivalence to per-RHS
+// preconditioner configuration, block-PCG lockstep equivalence to per-RHS
 // sequential PCG (including deflation on mixed-difficulty right-hand sides),
-// the shared-subspace block flexible PCG, non-finite columns stopping the
-// way the scalar drivers stop them, and the Richardson damping fix.
+// block CG bit for bit equal to scalar CG per column, the shared-subspace
+// block flexible PCG, non-finite columns stopping the way the scalar drivers
+// stop them, and the Richardson damping fix.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -234,6 +236,46 @@ TEST(BlockPcg, MatchesSequentialPcgPerColumnWithDeflation) {
   // Histories are tracked per column up to each column's own convergence.
   EXPECT_EQ(static_cast<int>(block_results[3].history.size()),
             block_results[3].iterations + 1);
+}
+
+// Block CG is block PCG over the identity and scalar CG is PCG over the
+// identity, so every column of a "none" solve_many repeats its scalar cg
+// solve bit for bit: iterations, iterate and residual history.
+TEST(BlockCg, EqualsScalarCgPerColumnBitForBit) {
+  auto [m, prob] = small_problem(15, 1400);
+  core::HybridConfig cfg;
+  cfg.preconditioner = "none";
+  cfg.max_iterations = 2000;
+  core::SolverSession session;
+  session.setup(m, prob, cfg);
+  ASSERT_EQ(session.method(), solver::KrylovMethod::kCg);
+
+  std::vector<std::vector<double>> rhs{prob.b,
+                                       random_vector(prob.b.size(), 31),
+                                       random_vector(prob.b.size(), 32)};
+  std::vector<std::vector<double>> xs_block;
+  const auto block = session.solve_many(rhs, xs_block);
+  ASSERT_EQ(block.size(), rhs.size());
+  solver::SolveOptions opts;
+  opts.max_iterations = cfg.max_iterations;
+  for (std::size_t j = 0; j < rhs.size(); ++j) {
+    SCOPED_TRACE("column " + std::to_string(j));
+    std::vector<double> x(rhs[j].size(), 0.0);
+    const auto scalar = solver::conjugate_gradient(prob.A, rhs[j], x, opts);
+    EXPECT_EQ(block[j].method, "block-cg");
+    EXPECT_EQ(scalar.method, "cg");
+    EXPECT_TRUE(scalar.converged);
+    EXPECT_EQ(block[j].converged, scalar.converged);
+    EXPECT_EQ(block[j].iterations, scalar.iterations);
+    ASSERT_EQ(xs_block[j].size(), x.size());
+    EXPECT_EQ(std::memcmp(xs_block[j].data(), x.data(),
+                          x.size() * sizeof(double)),
+              0);
+    ASSERT_EQ(block[j].history.size(), scalar.history.size());
+    EXPECT_EQ(std::memcmp(block[j].history.data(), scalar.history.data(),
+                          scalar.history.size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST(BlockFpcg, SharedSubspaceConvergesEveryColumn) {

@@ -2,7 +2,7 @@
 // (and one prepared preconditioner underneath it) is shared by many client
 // threads, so
 //   * concurrent solve / solve_many on a shared session must be bitwise
-//     identical to the same solves run serially — for EVERY registry entry,
+//     identical to the same solves run serially — for EVERY table entry,
 //     including both DDM-GNN variants whose scratch (DSS workspaces) was the
 //     original data race;
 //   * concurrent preconditioner applies with distinct workspaces must match

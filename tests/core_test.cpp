@@ -295,7 +295,7 @@ TEST(DdmGnn, ZeroResidualYieldsZeroCorrection) {
   }
 }
 
-// One fresh session per configuration (every registered name, each Schwarz
+// One fresh session per configuration (every table name, each Schwarz
 // entry at mg_levels 0, 1 and 2) solves the same problem to the direct
 // solution.
 TEST(HybridFacade, AllPreconditionersSolveTheSameProblem) {

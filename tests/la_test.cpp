@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "la/csr.hpp"
 #include "la/dense.hpp"
@@ -13,6 +15,7 @@
 #include "la/skyline_cholesky.hpp"
 #include "la/spgemm.hpp"
 #include "la/vector_ops.hpp"
+#include "thread_sweep.hpp"
 
 namespace {
 
@@ -72,6 +75,40 @@ TEST(VectorOps, ParallelMatchesSerialOnLargeVectors) {
   double serial = 0.0;
   for (Index i = 0; i < n; ++i) serial += x[i] * y[i];
   EXPECT_NEAR(la::dot(x, y), serial, 1e-9 * std::abs(serial) + 1e-12);
+}
+
+// Above the parallel threshold dot sums each thread's contiguous block of
+// the static split and adds the partials in thread order, so a repeat at any
+// thread count returns the same bits (a reduction clause did not at 3+).
+TEST(VectorOps, DotRepeatsBitForBitAtEveryThreadCount) {
+  test::ThreadGuard guard;
+#ifdef DDMGNN_TSAN
+  const std::vector<int> counts{1};  // see thread_sweep.hpp
+#else
+  const std::vector<int> counts{1, 2, 3, 4};
+#endif
+  for (const Index n : {8193, 100003, 1000001}) {
+    const auto x = random_vector(n, 3);
+    const auto y = random_vector(n, 4);
+    for (const int t : counts) {
+      // The documented order: block i of t holds n/t entries, plus one for
+      // the first n mod t blocks; block sums are added first to last.
+      double expected = 0.0;
+      for (Index i = 0, begin = 0; i < t; ++i) {
+        const Index end = begin + n / t + (i < n % t ? 1 : 0);
+        double part = 0.0;
+        for (Index k = begin; k < end; ++k) part += x[k] * y[k];
+        expected += part;
+        begin = end;
+      }
+      set_num_threads(t);
+      for (int rep = 0; rep < 200; ++rep) {
+        const double got = la::dot(x, y);
+        ASSERT_EQ(std::memcmp(&got, &expected, sizeof got), 0)
+            << "n=" << n << " threads=" << t << " repeat=" << rep;
+      }
+    }
+  }
 }
 
 TEST(Csr, BuilderMergesDuplicatesAndSortsColumns) {

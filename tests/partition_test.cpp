@@ -60,7 +60,9 @@ TEST_P(DecompParam, Invariants) {
     EXPECT_TRUE(std::adjacent_find(nodes.begin(), nodes.end()) == nodes.end());
     std::set<Index> in(nodes.begin(), nodes.end());
     for (Index v = 0; v < m.num_nodes(); ++v) {
-      if (dec.owner[v] == p) EXPECT_TRUE(in.count(v));
+      if (dec.owner[v] == p) {
+        EXPECT_TRUE(in.count(v));
+      }
     }
     // With overlap > 0, subdomain strictly exceeds core (unless whole mesh).
     if (overlap > 0 && parts > 1) {

@@ -1,5 +1,5 @@
-// The preconditioner configurations the registry can build, for tests that
-// sweep all of them: every registered name once, and each Schwarz entry (one
+// The preconditioner configurations the table can build, for tests that
+// sweep all of them: every table name once, and each Schwarz entry (one
 // that needs a decomposition) at coarse depth mg_levels 0 (one-level), 1
 // (Nicolaides two-level) and 2 (smoothed-aggregation cycle). Also the served
 // ddm-gnn configuration, for the tests that gate serving.

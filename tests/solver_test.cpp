@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "common/rng.hpp"
@@ -92,14 +93,21 @@ TEST(Pcg, Ic0BeatsJacobi) {
   EXPECT_LT(ri.iterations, rj.iterations);
 }
 
+// With z = r every α, β and residual of Algorithm 1 is plain CG's, so the
+// two solves agree bit for bit: iterations, iterates and history.
 TEST(Pcg, IdentityPreconditionerEqualsCg) {
   const auto prob = make_problem(5, 0.09);
   std::vector<double> x1(prob.b.size(), 0.0), x2(prob.b.size(), 0.0);
   const auto cg = solver::conjugate_gradient(prob.A, prob.b, x1);
   const precond::IdentityPreconditioner id;
   const auto pcg_id = solver::pcg(prob.A, id, prob.b, x2);
+  EXPECT_EQ(cg.method, "cg");
   EXPECT_EQ(cg.iterations, pcg_id.iterations);
-  EXPECT_LT(la::dist2(x1, x2), 1e-10);
+  EXPECT_EQ(std::memcmp(x1.data(), x2.data(), x1.size() * sizeof(double)), 0);
+  ASSERT_EQ(cg.history.size(), pcg_id.history.size());
+  EXPECT_EQ(std::memcmp(cg.history.data(), pcg_id.history.data(),
+                        cg.history.size() * sizeof(double)),
+            0);
 }
 
 TEST(AsmPrecond, TwoLevelLuConvergesFast) {
@@ -203,42 +211,6 @@ TEST(FlexiblePcg, MatchesPcgForFixedSpdPreconditioner) {
   EXPECT_TRUE(r2.converged);
   // Flexible PCG reduces to PCG for a constant SPD M (same Krylov space).
   EXPECT_NEAR(r1.iterations, r2.iterations, 2);
-}
-
-TEST(Bicgstab, ConvergesOnSpdProblem) {
-  const auto prob = make_problem(14, 0.08);
-  const precond::Ic0Preconditioner ic(prob.A);
-  std::vector<double> x(prob.b.size(), 0.0);
-  const auto res = solver::bicgstab(prob.A, ic, prob.b, x, {.rel_tol = 1e-8});
-  EXPECT_TRUE(res.converged);
-  EXPECT_LT(fem::relative_residual(prob.A, prob.b, x), 1e-7);
-}
-
-TEST(Gmres, ConvergesOnSpdProblem) {
-  const auto prob = make_problem(15, 0.09);
-  const precond::Ic0Preconditioner ic(prob.A);
-  std::vector<double> x(prob.b.size(), 0.0);
-  const auto res =
-      solver::gmres(prob.A, ic, prob.b, x,
-                    {.rel_tol = 1e-8, .gmres_restart = 40});
-  EXPECT_TRUE(res.converged);
-  EXPECT_LT(fem::relative_residual(prob.A, prob.b, x), 1e-7);
-}
-
-TEST(Gmres, HandlesNonsymmetricSystems) {
-  // Convection-ish perturbation of the FEM matrix (keeps it nonsingular).
-  auto prob = make_problem(16, 0.1);
-  auto vals = prob.A.values_mutable();
-  Rng rng(17);
-  for (auto& v : vals) v += 0.01 * rng.uniform(0.0, 1.0) * std::abs(v);
-  const precond::IdentityPreconditioner id;
-  std::vector<double> x(prob.b.size(), 0.0);
-  const auto res =
-      solver::gmres(prob.A, id, prob.b, x,
-                    {.max_iterations = 3000, .rel_tol = 1e-8,
-                     .gmres_restart = 60});
-  EXPECT_TRUE(res.converged);
-  EXPECT_LT(fem::relative_residual(prob.A, prob.b, x), 1e-7);
 }
 
 TEST(Solvers, IterationCountGrowsWithProblemSizeForPlainCg) {

@@ -1,6 +1,6 @@
 // Legacy-style solver driver (the repository's analogue of an HTSSolver
 // command-line run): generate a Poisson problem, pick a preconditioner (by
-// registry name) and Krylov method (by selector name) from flags, solve
+// table name) and Krylov method (by selector name) from flags, solve
 // through a SolverSession, and print a machine-parsable report line.
 //
 //   solve_poisson --nodes 40000 --precond ddm-gnn --sub-nodes 350
@@ -16,31 +16,32 @@
 // features from synthetic spectral coordinates. Without --rhs the right-hand
 // side is A·1 (manufactured solution = all-ones).
 //
-// Preconditioners: any registered name (none | jacobi | ic0 | ddm-lu |
-//                  ddm-gnn, plus the alias identity).
-// Krylov: cg | pcg | fpcg | bicgstab | gmres | richardson (the stationary
-// Eq. 8 iteration; damped by --omega, auto power-iteration bound when
-// omitted); default picked from the preconditioner's symmetry.
+// Preconditioners: none | jacobi | ic0 | ddm-lu | ddm-gnn, plus the alias
+//                  identity.
+// Krylov: cg | pcg | fpcg | richardson (the stationary Eq. 8 iteration;
+// damped by --omega, auto power-iteration bound when omitted); default
+// picked from the preconditioner's symmetry.
 // --repeat N re-solves the same system N times through one session, showing
 // the setup cost amortize away.
 // Coarse correction (ddm-lu, ddm-gnn): --levels L picks it (0 = none, the
 // one-level method; 1 = the dense Nicolaides solve, the default; L>=2
-// builds the smoothed-aggregation hierarchy), --cycle v|w picks the cycle
-// shape, --smoother jacobi|chebyshev and --smooth-steps N tune the
-// intermediate levels. When a hierarchy is active a per-level stats block
-// (rows / nnz per level, dense-factor and total coarse bytes) is printed
-// after setup. An invalid setting (e.g. a negative --levels) exits 2 with
-// the setup error.
+// builds the smoothed-aggregation hierarchy, applied as a V-cycle). When a
+// hierarchy is active a per-level stats block (rows / nnz per level,
+// dense-factor and total coarse bytes) is printed after setup. An invalid
+// setting (e.g. a negative --levels) exits 2 with the setup error.
 // --threads N pins the worker-thread count (reported as threads= on every
 // result line so timings stay interpretable).
 // --verbose-timing prints a one-line phase summary (setup / iterate /
 // precond / coarse seconds) after each solve, sourced from the obs metrics
 // registry. --trace out.json captures a Chrome trace_event timeline;
 // --metrics out.json dumps the registry snapshot at exit.
+// Any other argument (a typo such as --level) exits 2, naming it and
+// listing the accepted flags.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/error.hpp"
@@ -61,6 +62,40 @@
 #include "solver/stationary.hpp"
 
 namespace {
+
+// The accepted flags: each value flag takes the next argument.
+constexpr const char* kValueFlags[] = {
+    "--nodes", "--seed", "--matrix", "--rhs", "--precond", "--krylov",
+    "--sub-nodes", "--overlap", "--tol", "--max-iters", "--refine",
+    "--levels", "--model", "--omega", "--repeat", "--threads", "--trace",
+    "--metrics"};
+constexpr const char* kSwitches[] = {"--verbose-timing"};
+
+bool is_one_of(const char* arg, std::span<const char* const> names) {
+  for (const char* name : names) {
+    if (std::strcmp(arg, name) == 0) return true;
+  }
+  return false;
+}
+
+/// False (after printing why) when an argument is not an accepted flag or a
+/// value flag lacks its value.
+bool flags_accepted(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (is_one_of(argv[i], kSwitches)) continue;
+    if (is_one_of(argv[i], kValueFlags)) {
+      if (++i < argc) continue;
+      std::fprintf(stderr, "%s needs a value\n", argv[i - 1]);
+      return false;
+    }
+    std::fprintf(stderr, "unknown flag %s; accepted:", argv[i]);
+    for (const char* name : kValueFlags) std::fprintf(stderr, " %s", name);
+    for (const char* name : kSwitches) std::fprintf(stderr, " %s", name);
+    std::fprintf(stderr, "\n");
+    return false;
+  }
+  return true;
+}
 
 const char* arg_str(int argc, char** argv, const char* name,
                     const char* fallback) {
@@ -132,6 +167,7 @@ void write_obs_outputs(const char* trace_path, const char* metrics_path) {
 
 int main(int argc, char** argv) {
   using namespace ddmgnn;
+  if (!flags_accepted(argc, argv)) return 2;
   const auto nodes = static_cast<la::Index>(arg_num(argc, argv, "--nodes", 10000));
   const std::string precond = arg_str(argc, argv, "--precond", "ddm-lu");
   const std::string krylov = arg_str(argc, argv, "--krylov", "");
@@ -162,16 +198,17 @@ int main(int argc, char** argv) {
     obs::set_metrics_enabled(true);
   }
 
-  if (!precond::PrecondRegistry::instance().contains(precond)) {
-    std::fprintf(stderr, "unknown --precond %s; registered:", precond.c_str());
+  precond::PrecondTraits traits;
+  try {
+    traits = precond::preconditioner_traits(precond);
+  } catch (const ddmgnn::ContractError&) {
+    std::fprintf(stderr, "unknown --precond %s; known:", precond.c_str());
     for (const auto& n : precond::preconditioner_names()) {
       std::fprintf(stderr, " %s", n.c_str());
     }
     std::fprintf(stderr, "\n");
     return 2;
   }
-  const precond::PrecondTraits& traits =
-      precond::preconditioner_traits(precond);
 
   // Problem source: either a generated FEM Poisson problem (default) or an
   // external MatrixMarket system (--matrix). `prob` carries A/b/dirichlet in
@@ -226,10 +263,6 @@ int main(int argc, char** argv) {
   cfg.gnn_refinement_steps =
       static_cast<int>(arg_num(argc, argv, "--refine", 0));
   cfg.mg_levels = static_cast<int>(arg_num(argc, argv, "--levels", 1));
-  cfg.mg_cycle = arg_str(argc, argv, "--cycle", "v");
-  cfg.mg_smoother = arg_str(argc, argv, "--smoother", "jacobi");
-  cfg.mg_smooth_steps =
-      static_cast<int>(arg_num(argc, argv, "--smooth-steps", 1));
   cfg.seed = seed;
 
   std::optional<gnn::DssModel> model;
@@ -250,9 +283,7 @@ int main(int argc, char** argv) {
   if (!krylov.empty() && krylov != "richardson") {
     const auto method = solver::krylov_method_from_name(krylov);
     if (!method) {
-      std::fprintf(stderr,
-                   "unknown --krylov %s (cg|pcg|fpcg|bicgstab|gmres|"
-                   "richardson)\n",
+      std::fprintf(stderr, "unknown --krylov %s (cg|pcg|fpcg|richardson)\n",
                    krylov.c_str());
       return 2;
     }
