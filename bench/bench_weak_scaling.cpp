@@ -134,8 +134,10 @@ int main(int argc, char** argv) {
                      static_cast<double>(coarse.dense_factor_bytes())));
 
         std::string rows_str;
-        for (std::size_t i = 0; i < level_rows.size(); ++i)
-          rows_str += (i ? ">" : "") + std::to_string(level_rows[i]);
+        for (std::size_t i = 0; i < level_rows.size(); ++i) {
+          if (i > 0) rows_str += '>';
+          rows_str += std::to_string(level_rows[i]);
+        }
         std::printf("%12s %7d | %6d %9.3f %9.3f | %12zu %12zu | %s%s\n", name,
                     levels, res.converged ? res.iterations : -1,
                     session.setup_seconds(), solve_seconds,

@@ -23,38 +23,17 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Accumulates time across multiple start/stop windows (e.g. total time spent
+/// Accumulates time across many timed windows (e.g. total time spent
 /// applying a preconditioner across all PCG iterations, the paper's T_lu and
-/// T_gnn columns).
+/// T_gnn columns). Callers time each window once and add it here, so the
+/// same delta can also be recorded as a trace span.
 class Accumulator {
  public:
-  void start() { timer_.reset(); running_ = true; }
-  void stop() {
-    if (running_) total_ += timer_.seconds();
-    running_ = false;
-  }
-  /// Fold in a window measured elsewhere (a caller that also needs the raw
-  /// delta — e.g. to record it as a trace span — times once and adds here).
   void add(double seconds) { total_ += seconds; }
   double total() const { return total_; }
-  void reset() { total_ = 0.0; running_ = false; }
 
  private:
-  Timer timer_;
   double total_ = 0.0;
-  bool running_ = false;
-};
-
-/// RAII window on an Accumulator.
-class ScopedAccumulate {
- public:
-  explicit ScopedAccumulate(Accumulator& acc) : acc_(acc) { acc_.start(); }
-  ~ScopedAccumulate() { acc_.stop(); }
-  ScopedAccumulate(const ScopedAccumulate&) = delete;
-  ScopedAccumulate& operator=(const ScopedAccumulate&) = delete;
-
- private:
-  Accumulator& acc_;
 };
 
 }  // namespace ddmgnn

@@ -87,25 +87,13 @@ bool matrices_equal(const la::CsrMatrix& a, const la::CsrMatrix& b) {
          spans_equal(a.values(), b.values());
 }
 
-bool configs_equal(const HybridConfig& a, const HybridConfig& b) {
-  return a.preconditioner == b.preconditioner && a.method == b.method &&
-         a.subdomain_target_nodes == b.subdomain_target_nodes &&
-         a.overlap == b.overlap && a.rel_tol == b.rel_tol &&
-         a.max_iterations == b.max_iterations && a.model == b.model &&
-         a.gnn_refinement_steps == b.gnn_refinement_steps &&
-         a.gnn_normalize == b.gnn_normalize &&
-         a.gnn_adaptive_refinement == b.gnn_adaptive_refinement &&
-         a.precond_fp32 == b.precond_fp32 && a.mg_levels == b.mg_levels &&
-         a.seed == b.seed && a.track_history == b.track_history;
-}
-
 }  // namespace
 
 struct SessionCache::Entry {
   std::uint64_t fingerprint = 0;
   // Owned copies of everything the prepared session points into. All key
-  // material is written once, before the entry is published into its shard,
-  // so shard-locked scans may compare against it while setup is running.
+  // material is written once, before the entry is published, so locked
+  // scans may compare against it while setup is running.
   la::CsrMatrix A;
   std::vector<std::uint8_t> dirichlet;
   std::vector<mesh::Point2> coordinates;
@@ -122,16 +110,28 @@ struct SessionCache::Entry {
   /// Stampede collapse: the one setup for this key runs inside this flag;
   /// concurrent callers block here until the session is prepared.
   std::once_flag setup_once;
-  /// True once setup has completed — the entry is then eligible for
-  /// eviction.
-  std::atomic<bool> ready{false};
-  /// Whether `bytes` is currently included in the cache-wide total. Guarded
-  /// by the owning shard's mutex; accounting happens only for entries that
-  /// are (still) published in a shard, so an entry removed mid-setup (clear,
-  /// failed-setup retry) can never leak bytes into the total.
+  // Guarded by the cache mutex.
+  /// Set by the first caller past call_once while the entry is still
+  /// published: setup has finished and `bytes` is in the cache total, so the
+  /// entry may now be evicted.
   bool accounted = false;
-  /// Global-LRU recency stamp (cache clock value of the last touch).
-  std::atomic<std::uint64_t> last_used{0};
+  /// Recency stamp (cache clock value of the last lookup).
+  std::uint64_t last_used = 0;
+
+  bool matches(const la::CsrMatrix& a, const HybridConfig& c,
+               const AlgebraicOptions& opts, const mesh::Mesh* m) const {
+    if (graph_ptr.empty() != (m == nullptr)) return false;
+    if (m != nullptr &&
+        (!spans_equal(std::span<const la::Offset>(graph_ptr), m->adj_ptr()) ||
+         !spans_equal(std::span<const la::Index>(graph_idx), m->adj()))) {
+      return false;
+    }
+    return cfg == c && matrices_equal(A, a) &&
+           spans_equal(std::span<const std::uint8_t>(dirichlet),
+                       opts.dirichlet) &&
+           spans_equal(std::span<const mesh::Point2>(coordinates),
+                       opts.coordinates);
+  }
 
   std::size_t measure() const {
     return session.memory_bytes() + dirichlet.size() +
@@ -139,58 +139,42 @@ struct SessionCache::Entry {
            graph_ptr.size() * sizeof(la::Offset) +
            graph_idx.size() * sizeof(la::Index);
   }
-};
 
-void SessionCache::run_setup(Entry& e) {
-  AlgebraicOptions owned_opts;
-  owned_opts.dirichlet = e.dirichlet;
-  owned_opts.coordinates = e.coordinates;
-  if (!e.graph_ptr.empty()) {
-    // Mesh-keyed: identical to setup(mesh, prob, cfg) — same graph, coords
-    // and mask — but run against the entry's operator copy so the prepared
-    // state points into the cache, not the caller.
-    e.session.setup_from_graph(e.A, e.cfg, e.graph_ptr, e.graph_idx,
-                               owned_opts);
-  } else {
-    e.session.setup(e.A, e.cfg, owned_opts);
+  void run_setup() {
+    AlgebraicOptions owned_opts;
+    owned_opts.dirichlet = dirichlet;
+    owned_opts.coordinates = coordinates;
+    if (!graph_ptr.empty()) {
+      // Mesh-keyed: identical to setup(mesh, prob, cfg) — same graph,
+      // coords and mask — but run against the entry's operator copy so the
+      // prepared state points into the cache, not the caller.
+      session.setup_from_graph(A, cfg, graph_ptr, graph_idx, owned_opts);
+    } else {
+      session.setup(A, cfg, owned_opts);
+    }
+    // Further setup() on this shared session would re-key it out from under
+    // the fingerprint index (and every concurrent holder).
+    session.lock_setup();
+    // Nothing in a prepared session grows after setup, so one measurement
+    // covers the entry's lifetime.
+    bytes = measure();
   }
-  // Further setup() on this shared session would re-key it out from under
-  // the fingerprint index (and every concurrent holder).
-  e.session.lock_setup();
-  // Nothing in a prepared session grows after setup, so one measurement
-  // covers the entry's lifetime.
-  e.bytes = e.measure();
-  e.ready.store(true, std::memory_order_release);
-}
+};
 
 std::shared_ptr<SolverSession> SessionCache::lookup_or_insert(
     std::uint64_t fingerprint, const la::CsrMatrix& A, const HybridConfig& cfg,
     const AlgebraicOptions& opts, const mesh::Mesh* m) {
-  Shard& shard = shards_[fingerprint % kNumShards];
   std::shared_ptr<Entry> entry;
   bool inserted = false;
+  bool will_wait = false;
   {
-    std::lock_guard lock(shard.mutex);
-    for (const auto& e : shard.entries) {
-      if (e->fingerprint != fingerprint) continue;
+    std::lock_guard lock(mu_);
+    for (const auto& e : entries_) {
       // Exact verification: a colliding fingerprint must degrade to a miss.
-      const bool entry_mesh_keyed = !e->graph_ptr.empty();
-      if (entry_mesh_keyed != (m != nullptr)) continue;
-      if (m != nullptr &&
-          (!spans_equal(std::span<const la::Offset>(e->graph_ptr),
-                        m->adj_ptr()) ||
-           !spans_equal(std::span<const la::Index>(e->graph_idx), m->adj()))) {
-        continue;
+      if (e->fingerprint == fingerprint && e->matches(A, cfg, opts, m)) {
+        entry = e;
+        break;
       }
-      if (!configs_equal(e->cfg, cfg) || !matrices_equal(e->A, A) ||
-          !spans_equal(std::span<const std::uint8_t>(e->dirichlet),
-                       opts.dirichlet) ||
-          !spans_equal(std::span<const mesh::Point2>(e->coordinates),
-                       opts.coordinates)) {
-        continue;
-      }
-      entry = e;
-      break;
     }
     if (entry == nullptr) {
       entry = std::make_shared<Entry>();
@@ -204,20 +188,20 @@ std::shared_ptr<SolverSession> SessionCache::lookup_or_insert(
         entry->graph_ptr.assign(m->adj_ptr().begin(), m->adj_ptr().end());
         entry->graph_idx.assign(m->adj().begin(), m->adj().end());
       }
-      shard.entries.push_back(entry);
+      entries_.push_back(entry);
       inserted = true;
+      ++stats_.misses;
+    } else {
+      // A caller that arrives while the first one is still inside setup
+      // counts as a hit (it shares that one setup: 1 miss + N−1 hits for an
+      // N-thread stampede), and is additionally marked as a stampede-wait —
+      // it is about to block in call_once below.
+      will_wait = !entry->accounted;
+      ++stats_.hits;
     }
-    entry->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                           std::memory_order_relaxed);
+    entry->last_used = ++clock_;
   }
-  // Hit/miss/stampede telemetry. A waiter that arrives while the first
-  // caller is still inside setup counts as a hit (it shares that one setup:
-  // 1 miss + N−1 hits for an N-thread stampede), but is additionally marked
-  // as a stampede-wait — it is about to block in call_once below.
-  const bool will_wait =
-      !inserted && !entry->ready.load(std::memory_order_acquire);
   if (inserted) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
     if (obs::metrics_enabled()) {
       static obs::Counter& c =
           obs::Registry::instance().counter("cache.misses_total");
@@ -225,7 +209,6 @@ std::shared_ptr<SolverSession> SessionCache::lookup_or_insert(
     }
     obs::instant("cache.miss");
   } else {
-    hits_.fetch_add(1, std::memory_order_relaxed);
     if (obs::metrics_enabled()) {
       static obs::Counter& c =
           obs::Registry::instance().counter("cache.hits_total");
@@ -239,38 +222,32 @@ std::shared_ptr<SolverSession> SessionCache::lookup_or_insert(
     obs::instant(will_wait ? "cache.stampede_wait" : "cache.hit");
   }
 
-  // The setup itself runs outside every shard lock — long setups must not
-  // block lookups of other operators (or eviction). call_once both
-  // collapses the stampede and publishes the prepared state to waiters.
+  // The setup itself runs outside the lock — long setups must not block
+  // lookups of other operators. call_once both collapses the stampede and
+  // publishes the prepared state to waiters.
   try {
     std::call_once(entry->setup_once, [&] {
       OBS_SPAN("cache.setup");
-      run_setup(*entry);
+      entry->run_setup();
     });
   } catch (...) {
     // Failed setup (unknown name, missing model, …): unpublish the entry so
     // the key is retryable, then surface the error to this caller. Another
     // stampeding waiter retries the setup via call_once semantics and
     // reaches this same path.
-    std::lock_guard lock(shard.mutex);
-    auto& v = shard.entries;
-    v.erase(std::remove(v.begin(), v.end(), entry), v.end());
+    std::lock_guard lock(mu_);
+    std::erase(entries_, entry);
     throw;
   }
 
-  // The first touch after setup folds the entry's bytes into the total —
-  // only while the entry is still published in the shard (an entry removed
-  // mid-flight leaks nothing).
-  {
-    std::lock_guard lock(shard.mutex);
-    if (!entry->accounted &&
-        std::find(shard.entries.begin(), shard.entries.end(), entry) !=
-            shard.entries.end()) {
-      entry->accounted = true;
-      bytes_.fetch_add(entry->bytes, std::memory_order_relaxed);
-    }
-  }
-  if (bytes_.load(std::memory_order_relaxed) > byte_budget_) {
+  // The first caller past setup folds the entry's bytes into the total —
+  // only while the entry is still published (one unpublished by a failed
+  // setup and then set up by a retrying waiter leaks nothing).
+  std::lock_guard lock(mu_);
+  if (!entry->accounted &&
+      std::find(entries_.begin(), entries_.end(), entry) != entries_.end()) {
+    entry->accounted = true;
+    bytes_ += entry->bytes;
     evict_over_budget();
   }
   return {entry, &entry->session};
@@ -294,80 +271,48 @@ std::shared_ptr<SolverSession> SessionCache::get_or_setup(
 }
 
 void SessionCache::evict_over_budget() {
-  // One evictor at a time; lookups and inserts proceed concurrently (they
-  // only nudge bytes_ upward, which the loop re-reads every round).
-  std::lock_guard evict_lock(evict_mutex_);
-  while (bytes_.load(std::memory_order_relaxed) > byte_budget_) {
-    // Find the globally least-recently-used *ready* entry. Entries mid-setup
-    // are skipped: their bytes are not accounted yet and evicting them would
+  while (bytes_ > byte_budget_) {
+    // The least-recently-used accounted entry. Entries mid-setup are
+    // skipped: their bytes are not in the total yet and evicting them would
     // orphan the stampede's waiters.
-    Shard* victim_shard = nullptr;
-    std::shared_ptr<Entry> victim;
-    std::size_t total_ready = 0;
-    for (Shard& shard : shards_) {
-      std::lock_guard lock(shard.mutex);
-      for (const auto& e : shard.entries) {
-        if (!e->ready.load(std::memory_order_acquire)) continue;
-        ++total_ready;
-        if (victim == nullptr ||
-            e->last_used.load(std::memory_order_relaxed) <
-                victim->last_used.load(std::memory_order_relaxed)) {
-          victim = e;
-          victim_shard = &shard;
-        }
+    auto victim = entries_.end();
+    std::size_t accounted = 0;
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (!(*it)->accounted) continue;
+      ++accounted;
+      if (victim == entries_.end() || (*it)->last_used < (*victim)->last_used) {
+        victim = it;
       }
     }
     // An over-budget single entry is admitted; nothing to trim.
-    if (victim == nullptr || total_ready <= 1) return;
-    {
-      std::lock_guard lock(victim_shard->mutex);
-      auto& v = victim_shard->entries;
-      const auto it = std::find(v.begin(), v.end(), victim);
-      if (it == v.end()) continue;  // raced with clear(); re-scan
-      v.erase(it);  // holders of aliased shared_ptrs keep the session alive
-      if (victim->accounted) {
-        bytes_.fetch_sub(victim->bytes, std::memory_order_relaxed);
-      }
-    }
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (accounted <= 1) return;
+    const std::size_t victim_bytes = (*victim)->bytes;
+    bytes_ -= victim_bytes;
+    // Holders of aliased shared_ptrs keep the session alive.
+    entries_.erase(victim);
+    ++stats_.evictions;
     if (obs::metrics_enabled()) {
       static obs::Counter& c =
           obs::Registry::instance().counter("cache.evictions_total");
       c.inc();
     }
-    obs::instant("cache.eviction", "bytes",
-                 static_cast<double>(victim->bytes));
+    obs::instant("cache.eviction", "bytes", static_cast<double>(victim_bytes));
   }
 }
 
 SessionCache::Stats SessionCache::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard lock(mu_);
+  return stats_;
 }
 
 std::size_t SessionCache::size() const {
-  std::size_t n = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard lock(shard.mutex);
-    n += shard.entries.size();
-  }
-  return n;
+  std::lock_guard lock(mu_);
+  return entries_.size();
 }
 
-void SessionCache::clear() {
-  std::lock_guard evict_lock(evict_mutex_);
-  for (Shard& shard : shards_) {
-    std::lock_guard lock(shard.mutex);
-    for (const auto& e : shard.entries) {
-      if (e->accounted) {
-        bytes_.fetch_sub(e->bytes, std::memory_order_relaxed);
-      }
-    }
-    shard.entries.clear();
-  }
+std::size_t SessionCache::size_bytes() const {
+  std::lock_guard lock(mu_);
+  return bytes_;
 }
 
 }  // namespace ddmgnn::core

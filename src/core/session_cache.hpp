@@ -21,17 +21,17 @@
 // and shared, so GNN-preconditioned entries require the model to outlive the
 // cache (the model pointer is part of the fingerprint).
 //
-// Concurrency: get_or_setup is safe from any number of threads. The key
-// index is sharded by fingerprint (one mutex per shard, held only for scans
-// and list surgery — never across a setup or a solve), and setup stampedes
-// are collapsed per fingerprint: the first caller runs the one setup inside
-// the entry's std::call_once while every concurrent caller for the same key
-// blocks on that flag and then shares the prepared session — N threads
-// racing for one cold operator cost exactly one setup (1 miss + N−1 hits).
-// Stats counters are atomics; stats() returns a snapshot. Solving on the
-// returned sessions concurrently is safe because prepared sessions are
-// immutable at solve time (see the Preconditioner apply-workspace contract);
-// the solve-time *toggle* below is the deliberate exception.
+// Concurrency: get_or_setup is safe from any number of threads. One mutex
+// guards the entry list, the byte total, the recency clock and the counters;
+// it is held only for scans, list surgery and bookkeeping — never across a
+// setup or a solve. Setup stampedes are collapsed per entry: the first
+// caller runs the one setup inside the entry's std::call_once while every
+// concurrent caller for the same key blocks on that flag and then shares the
+// prepared session — N threads racing for one cold operator cost exactly one
+// setup (1 miss + N−1 hits). Solving on the returned sessions concurrently
+// is safe because prepared sessions are immutable at solve time (see the
+// Preconditioner apply-workspace contract); the solve-time *toggle* below is
+// the deliberate exception.
 //
 // Sharing contract: every hit hands out the SAME session object, mutably —
 // deliberately, so the solve-time toggle set_method works on cached
@@ -44,15 +44,13 @@
 //
 // Eviction: least-recently-used by a byte budget, measured once when an
 // entry's setup finishes with SolverSession::memory_bytes() plus the entry's
-// owned copies (nothing in a prepared session grows after setup). Recency
-// is a global atomic clock, so LRU order spans all shards. A single entry
-// larger than the whole budget is admitted (the alternative — refusing to
-// cache — silently re-pays setup forever) and becomes the first eviction
-// candidate.
+// owned copies (nothing in a prepared session grows after setup). Only
+// entries whose setup finished (and whose bytes are therefore in the total)
+// can be evicted. A single entry larger than the whole budget is admitted
+// (the alternative — refusing to cache — silently re-pays setup forever) and
+// becomes the first eviction candidate.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -85,48 +83,32 @@ class SessionCache {
       const la::CsrMatrix& A, const HybridConfig& cfg,
       const AlgebraicOptions& opts = {});
 
-  /// Counter snapshot (consistent enough for monitoring; each counter is
-  /// individually exact).
   Stats stats() const;
   std::size_t size() const;
-  std::size_t size_bytes() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
+  std::size_t size_bytes() const;
   std::size_t byte_budget() const { return byte_budget_; }
-  /// Drop every entry (held sessions stay alive via their aliased
-  /// shared_ptrs). Not counted as evictions.
-  void clear();
 
  private:
   struct Entry;
-  /// Key-index shards: fingerprint → shard, one mutex per shard so
-  /// unrelated operators never contend. Entries within a shard are scanned
-  /// linearly (caches hold a handful of operators, and a hit's exact-verify
-  /// already touches the arrays).
-  struct Shard {
-    mutable std::mutex mutex;
-    std::vector<std::shared_ptr<Entry>> entries;
-  };
-  static constexpr std::size_t kNumShards = 8;
 
   std::shared_ptr<SolverSession> lookup_or_insert(
       std::uint64_t fingerprint, const la::CsrMatrix& A,
       const HybridConfig& cfg, const AlgebraicOptions& opts,
       const mesh::Mesh* m);
-  void run_setup(Entry& e);
+  /// Drops least-recently-used entries until the total fits the budget (or
+  /// one entry is left). Caller holds mu_.
   void evict_over_budget();
 
-  std::size_t byte_budget_;
-  std::atomic<std::size_t> bytes_{0};
-  std::atomic<std::size_t> hits_{0};
-  std::atomic<std::size_t> misses_{0};
-  std::atomic<std::size_t> evictions_{0};
-  /// Global recency clock: every touch stamps the entry, eviction removes
-  /// the smallest stamp across all shards.
-  std::atomic<std::uint64_t> clock_{0};
-  /// Serializes eviction passes (insertions/touches stay concurrent).
-  std::mutex evict_mutex_;
-  std::array<Shard, kNumShards> shards_;
+  const std::size_t byte_budget_;
+  mutable std::mutex mu_;
+  // Guarded by mu_. Entries are scanned linearly: caches hold a handful of
+  // operators, and a hit's exact verification touches the arrays anyway.
+  std::vector<std::shared_ptr<Entry>> entries_;
+  std::size_t bytes_ = 0;
+  /// Recency clock: every lookup stamps its entry, eviction removes the
+  /// smallest stamp.
+  std::uint64_t clock_ = 0;
+  Stats stats_;
 };
 
 }  // namespace ddmgnn::core

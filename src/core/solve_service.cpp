@@ -46,14 +46,6 @@ struct ServiceMetrics {
 
 }  // namespace
 
-std::chrono::microseconds effective_window_wait(
-    std::chrono::microseconds max_wait, std::chrono::microseconds deadline) {
-  if (deadline.count() <= 0) return max_wait;
-  // Keep half the budget for the solve itself; a sub-max_wait deadline
-  // therefore closes the window early (possibly immediately).
-  return std::min(max_wait, deadline / 2);
-}
-
 SolveService::SolveService(SessionCache& cache, ServiceConfig cfg)
     : cache_(cache), cfg_(cfg) {
   DDMGNN_CHECK(cfg_.num_workers >= 1, "SolveService: num_workers must be >= 1");
@@ -94,16 +86,10 @@ SolveService::OperatorKey SolveService::register_operator(
 }
 
 std::optional<std::future<SolveService::Reply>> SolveService::submit(
-    OperatorKey op, std::vector<double> rhs, const SubmitOptions& qos) {
-  const auto now = Clock::now();
+    OperatorKey op, std::vector<double> rhs) {
   Request req;
   req.rhs = std::move(rhs);
-  if (!qos.x0.empty()) req.x0.assign(qos.x0.begin(), qos.x0.end());
-  req.enqueued = now;
-  req.close_by = now + effective_window_wait(cfg_.max_wait, qos.deadline);
   std::future<Reply> fut = req.promise.get_future();
-
-  const AdmissionPolicy policy = qos.on_full.value_or(cfg_.on_full);
   {
     std::unique_lock<std::mutex> lock(mu_);
     DDMGNN_CHECK(!stopping_, "SolveService::submit after shutdown()");
@@ -114,15 +100,13 @@ std::optional<std::future<SolveService::Reply>> SolveService::submit(
     const auto n = static_cast<std::size_t>(state.session->rows());
     DDMGNN_CHECK(req.rhs.size() == n,
                  "SolveService::submit: rhs size does not match the operator");
-    DDMGNN_CHECK(req.x0.empty() || req.x0.size() == n,
-                 "SolveService::submit: x0 size does not match the operator");
-    if (state.queue.size() >= cfg_.queue_capacity) {
-      if (policy == AdmissionPolicy::kReject) return reject();
-      space_cv_.wait(lock, [&] {
-        return stopping_ || state.queue.size() < cfg_.queue_capacity;
-      });
-      if (stopping_) return reject();
-    }
+    space_cv_.wait(lock, [&] {
+      return stopping_ || state.queue.size() < cfg_.queue_capacity;
+    });
+    if (stopping_) return reject();
+    // Stamped at admission, under the lock: each queue is then ordered by
+    // `enqueued`, so its front is its oldest request.
+    req.enqueued = Clock::now();
     state.queue.push_back(std::move(req));
     ++queued_;
     submitted_.fetch_add(1, std::memory_order_relaxed);
@@ -145,18 +129,18 @@ std::nullopt_t SolveService::reject() {
 
 std::optional<std::pair<std::size_t, std::vector<SolveService::Request>>>
 SolveService::claim_window(
-    Clock::time_point now,
-    std::optional<Clock::time_point>& deadline_out) {
+    Clock::time_point now, std::optional<Clock::time_point>& next_close) {
   // Scan for the due window whose oldest request is most urgent; while
-  // scanning, remember the earliest future close_by so the caller knows when
-  // to wake again. A queue is "due" when it reached max_batch, when its
-  // oldest request's window wait expired, or when the service is draining.
+  // scanning, remember the earliest future close so the caller knows when to
+  // wake again. A queue is "due" when it reached max_batch, when its oldest
+  // request (the FIFO front) has waited max_wait, or when the service is
+  // draining.
   std::size_t best = operators_.size();
   Clock::time_point best_close{};
   for (std::size_t k = 0; k < operators_.size(); ++k) {
     const auto& q = operators_[k]->queue;
     if (q.empty()) continue;
-    const Clock::time_point close = q.front().close_by;
+    const Clock::time_point close = q.front().enqueued + cfg_.max_wait;
     const bool due = stopping_ ||
                      q.size() >= static_cast<std::size_t>(cfg_.max_batch) ||
                      close <= now;
@@ -165,8 +149,8 @@ SolveService::claim_window(
         best = k;
         best_close = close;
       }
-    } else if (!deadline_out || close < *deadline_out) {
-      deadline_out = close;
+    } else if (!next_close || close < *next_close) {
+      next_close = close;
     }
   }
   if (best == operators_.size()) return std::nullopt;
@@ -208,30 +192,14 @@ void SolveService::execute_window(OperatorState& op,
   obs::Span window_span("service.window");
   window_span.arg("batch", static_cast<double>(s));
 
+  std::vector<std::vector<double>> bs;
+  bs.reserve(s);
+  for (Request& r : batch) bs.push_back(std::move(r.rhs));
   std::vector<solver::SolveResult> results;
   std::vector<std::vector<double>> xs;
   try {
-    if (s == 1) {
-      xs.resize(1);
-      xs[0].assign(batch[0].rhs.size(), 0.0);
-      results.push_back(
-          op.session->solve(batch[0].rhs, xs[0], batch[0].x0));
-    } else {
-      std::vector<std::vector<double>> bs;
-      std::vector<std::vector<double>> x0s;
-      bs.reserve(s);
-      x0s.reserve(s);
-      bool any_seed = false;
-      for (Request& r : batch) {
-        any_seed = any_seed || !r.x0.empty();
-        bs.push_back(std::move(r.rhs));
-        x0s.push_back(std::move(r.x0));
-      }
-      results = op.session->solve_many(
-          bs, xs,
-          any_seed ? std::span<const std::vector<double>>(x0s)
-                   : std::span<const std::vector<double>>{});
-    }
+    // A singleton window is solve_many's single-column solve().
+    results = op.session->solve_many(bs, xs);
   } catch (...) {
     // A failed window fails each of its requests individually; the service
     // itself stays up (the next window is independent work).

@@ -1,15 +1,13 @@
 // Streaming solve service: an asynchronous admission layer that turns
 // concurrent single-RHS traffic into block solves.
 //
-// The serving story before this layer was call-and-wait: every client thread
-// paid a full scalar Krylov solve even when dozens of requests against the
-// same prepared operator were in flight simultaneously. But the repo already
-// owns a faster path for exactly that shape — solve_many's block engine runs
-// ONE SpMM and ONE block preconditioner application (for the Schwarz
-// preconditioners, all K×s local solves in one parallel region) per
-// iteration, and the shared search space of block flexible PCG converges
-// each column in fewer iterations than solving it alone. SolveService routes streaming
-// traffic through that path automatically:
+// Call-and-wait serving makes every client thread pay a full scalar Krylov
+// solve even when many requests against the same prepared operator are in
+// flight at once. But solve_many's block engine runs ONE SpMM and ONE block
+// preconditioner application (for the Schwarz preconditioners, all K×s
+// local solves in one parallel region) per iteration, and the shared search
+// space of block flexible PCG converges each column in fewer iterations than
+// solving it alone. SolveService routes streaming traffic through that path:
 //
 //   core::SessionCache cache(1u << 30);
 //   core::SolveService svc(cache, {.num_workers = 2, .max_batch = 16});
@@ -18,21 +16,20 @@
 //   ...
 //   core::SolveService::Reply r = fut->get();           // per-RHS result
 //
-// Dynamic batching: each operator owns a FIFO admission queue. Workers close
-// an open window — and execute it as one solve_many block solve — when it
-// reaches cfg.max_batch columns OR when its oldest request has waited its
-// window wait, whichever comes first. The window wait is cfg.max_wait for
-// ordinary requests; a request carrying a QoS deadline shrinks it to at most
-// half its deadline budget (effective_window_wait), trading batch
-// amortization for admission latency exactly where a client paid for it.
-// Futures complete individually, each with its own SolveResult and solution.
+// A request is an operator key and a right-hand side; every solve starts
+// from a zero guess.
 //
-// Backpressure: queues are bounded (cfg.queue_capacity per operator). At
-// capacity, submit() either blocks until space frees or rejects immediately
-// (returns nullopt) — caller-selectable per submission, defaulted by the
-// service config. Shutdown drains: destruction (or shutdown()) stops
-// admission, flushes every queued request through the workers, and joins —
-// no admitted future is ever abandoned.
+// Dynamic batching: each operator owns a FIFO admission queue. Workers close
+// a queue's window — and execute it as one solve_many call — when it holds
+// cfg.max_batch columns OR when its oldest request (the queue's front) has
+// waited cfg.max_wait, whichever comes first. Futures complete
+// individually, each with its own SolveResult and solution.
+//
+// Backpressure: queues are bounded (cfg.queue_capacity per operator); at
+// capacity, submit() blocks until a worker frees space. Shutdown drains:
+// destruction (or shutdown()) stops admission, flushes every queued request
+// through the workers, and joins — no admitted future is ever abandoned. A
+// submit still waiting for space when shutdown() runs is refused (nullopt).
 //
 // Instrumentation (obs::, active when the corresponding flag is on):
 //   service.submitted_total / completed_total / rejected_total   counters
@@ -40,6 +37,7 @@
 //   service.batch_size                                           histogram
 //   service.queue_seconds   (admission → window execution start) histogram
 //   service.window          span per executed window (batch/iterations args)
+//   service.reject          instant per refused submit
 // Always-on aggregate Stats (atomics, snapshot via stats()) back the bench
 // and the tests without requiring the metrics flag.
 #pragma once
@@ -53,19 +51,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <thread>
 #include <vector>
 
 #include "core/session_cache.hpp"
 
 namespace ddmgnn::core {
-
-/// What submit() does when the target operator's queue is at capacity.
-enum class AdmissionPolicy {
-  kBlock,   // wait until the queue has space (or the service shuts down)
-  kReject,  // give up immediately; submit() returns nullopt
-};
 
 struct ServiceConfig {
   /// Worker threads executing windows. Workers are the solve parallelism
@@ -75,35 +66,12 @@ struct ServiceConfig {
   int num_workers = 2;
   /// A window closes when it holds this many right-hand sides...
   int max_batch = 16;
-  /// ...or when its oldest request has waited this long (QoS deadlines can
-  /// shrink the wait per request; see effective_window_wait).
+  /// ...or when its oldest request has waited this long.
   std::chrono::microseconds max_wait{2000};
-  /// Bound on queued (admitted, not yet executing) requests per operator.
+  /// Bound on queued (admitted, not yet executing) requests per operator;
+  /// submit() waits for space beyond it.
   std::size_t queue_capacity = 256;
-  /// Default admission policy at capacity; SubmitOptions can override.
-  AdmissionPolicy on_full = AdmissionPolicy::kBlock;
 };
-
-struct SubmitOptions {
-  /// QoS deadline budget for this request, measured from submit(). Zero
-  /// means none. The service does not abort late solves; the deadline's
-  /// effect is window formation — a deadlined request caps its window's
-  /// wait at half the budget, keeping the other half for the solve.
-  std::chrono::microseconds deadline{0};
-  /// Per-submission override of ServiceConfig::on_full.
-  std::optional<AdmissionPolicy> on_full;
-  /// Warm-start guess (copied at submit; size n or empty). Re-serving a
-  /// client whose operator and right-hand side drift slowly turns repeat
-  /// solves into a handful of iterations.
-  std::span<const double> x0;
-};
-
-/// Window-formation rule, exposed for direct testing: how long a request may
-/// sit in an open window. No deadline → max_wait; a deadline caps the wait
-/// at half the budget (never negative), so tight deadlines close windows
-/// early — the QoS "deadline → smaller window" tradeoff.
-std::chrono::microseconds effective_window_wait(
-    std::chrono::microseconds max_wait, std::chrono::microseconds deadline);
 
 class SolveService {
  public:
@@ -163,14 +131,14 @@ class SolveService {
                                 const fem::PoissonProblem& prob,
                                 const HybridConfig& cfg);
 
-  /// Enqueue one right-hand side (moved in) for `op`. Returns a future that
-  /// completes when its window has been solved, or nullopt when the queue
-  /// was full under AdmissionPolicy::kReject (also when the service is
-  /// shutting down while a blocked submit waits). Throws ContractError for
-  /// unknown keys, mis-sized rhs/x0, or submit after shutdown().
+  /// Enqueue one right-hand side (moved in) for `op`, waiting for queue
+  /// space if the operator's queue is full. Returns a future that completes
+  /// when its window has been solved, or nullopt when shutdown() wakes a
+  /// submit that was waiting for space (counted in Stats::rejected). Throws
+  /// ContractError for unknown keys, a mis-sized rhs, or submit after
+  /// shutdown().
   std::optional<std::future<Reply>> submit(OperatorKey op,
-                                           std::vector<double> rhs,
-                                           const SubmitOptions& qos = {});
+                                           std::vector<double> rhs);
 
   /// Stop admitting, execute every already-admitted request, join the
   /// workers. Idempotent; called by the destructor.
@@ -190,12 +158,9 @@ class SolveService {
  private:
   struct Request {
     std::vector<double> rhs;
-    std::vector<double> x0;  // empty = zero start
     std::promise<Reply> promise;
+    /// Admission time, stamped under mu_ as the request joins its queue.
     std::chrono::steady_clock::time_point enqueued;
-    /// enqueued + effective_window_wait(...): the window holding this
-    /// request must close by then.
-    std::chrono::steady_clock::time_point close_by;
   };
 
   struct OperatorState {
@@ -204,15 +169,15 @@ class SolveService {
   };
 
   OperatorKey key_for_session(std::shared_ptr<SolverSession> session);
-  /// Counts one refused submit (a full queue under kReject, or a blocked
-  /// submit woken by shutdown()) in stats(), the registry and the trace.
+  /// Counts one refused submit (a waiting submit woken by shutdown()) in
+  /// stats(), the registry and the trace.
   std::nullopt_t reject();
   void worker_loop();
-  /// Pops the ready window with the most urgent close_by under mu_;
-  /// nullopt when nothing is due yet (deadline_out = when to re-check).
+  /// Pops the due window whose oldest request waited longest, under mu_;
+  /// nullopt when nothing is due yet (next_close = when to re-check).
   std::optional<std::pair<std::size_t, std::vector<Request>>> claim_window(
       std::chrono::steady_clock::time_point now,
-      std::optional<std::chrono::steady_clock::time_point>& deadline_out);
+      std::optional<std::chrono::steady_clock::time_point>& next_close);
   void execute_window(OperatorState& op, std::vector<Request> batch);
 
   SessionCache& cache_;
@@ -220,7 +185,7 @@ class SolveService {
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   // workers: new work / shutdown
-  std::condition_variable space_cv_;  // blocked submitters: space freed
+  std::condition_variable space_cv_;  // waiting submitters: space freed
   std::vector<std::unique_ptr<OperatorState>> operators_;
   bool stopping_ = false;
   bool paused_ = false;

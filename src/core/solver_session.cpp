@@ -1,6 +1,5 @@
 #include "core/solver_session.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
@@ -159,26 +158,23 @@ void SolverSession::setup(const la::CsrMatrix& A, const HybridConfig& cfg,
   setup_seconds_ += derive_seconds;
 }
 
-solver::SolveResult SolverSession::solve(std::span<const double> b,
-                                         std::span<double> x) const {
-  return solve(b, x, /*x0=*/{});
-}
-
-solver::SolveResult SolverSession::solve(std::span<const double> b,
-                                         std::span<double> x,
-                                         std::span<const double> x0) const {
-  DDMGNN_CHECK(ready(), "SolverSession::solve before setup()");
-  // Root span: every solve's full wall time is covered by this one event,
-  // with the Krylov iterations and preconditioner phases nested inside.
-  obs::Span solve_span("session.solve");
+solver::SolveOptions SolverSession::solve_options() const {
   solver::SolveOptions opts;
   opts.rel_tol = cfg_.rel_tol;
   opts.max_iterations = cfg_.max_iterations;
   opts.track_history = cfg_.track_history;
   opts.precond_fp32 = cfg_.precond_fp32;
-  opts.x0 = x0;
+  return opts;
+}
+
+solver::SolveResult SolverSession::solve(std::span<const double> b,
+                                         std::span<double> x) const {
+  DDMGNN_CHECK(ready(), "SolverSession::solve before setup()");
+  // Root span: every solve's full wall time is covered by this one event,
+  // with the Krylov iterations and preconditioner phases nested inside.
+  obs::Span solve_span("session.solve");
   solver::SolveResult res =
-      solver::run_krylov(method_, *a_, *m_inv_, b, x, opts);
+      solver::run_krylov(method_, *a_, *m_inv_, b, x, solve_options());
   solve_span.arg("iterations", res.iterations);
   solve_span.arg("converged", res.converged ? 1.0 : 0.0);
   return res;
@@ -187,50 +183,23 @@ solver::SolveResult SolverSession::solve(std::span<const double> b,
 std::vector<solver::SolveResult> SolverSession::solve_many(
     std::span<const std::vector<double>> rhs,
     std::vector<std::vector<double>>& xs) const {
-  return solve_many(rhs, xs, /*x0s=*/{});
-}
-
-std::vector<solver::SolveResult> SolverSession::solve_many(
-    std::span<const std::vector<double>> rhs,
-    std::vector<std::vector<double>>& xs,
-    std::span<const std::vector<double>> x0s) const {
   DDMGNN_CHECK(ready(), "SolverSession::solve_many before setup()");
-  DDMGNN_CHECK(x0s.empty() || x0s.size() == rhs.size(),
-               "solve_many: x0s must be empty or give one (possibly empty) "
-               "guess per right-hand side");
-  const auto n = static_cast<std::size_t>(a_->rows());
-  for (const auto& g : x0s) {
-    DDMGNN_CHECK(g.empty() || g.size() == n,
-                 "solve_many: x0 size does not match the operator");
-  }
   obs::Span solve_span("session.solve_many");
   solve_span.arg("rhs", static_cast<double>(rhs.size()));
   xs.resize(rhs.size());
   if (rhs.empty()) return {};
   if (rhs.size() == 1) {
     xs[0].assign(rhs[0].size(), 0.0);
-    const bool seeded = !x0s.empty() && !x0s[0].empty();
-    return {solve(rhs[0], xs[0], seeded ? x0s[0] : std::span<const double>{})};
+    return {solve(rhs[0], xs[0])};
   }
+  const auto n = static_cast<std::size_t>(a_->rows());
   for (const auto& b : rhs) {
     DDMGNN_CHECK(b.size() == n, "solve_many: rhs size mismatch");
   }
-  solver::SolveOptions opts;
-  opts.rel_tol = cfg_.rel_tol;
-  opts.max_iterations = cfg_.max_iterations;
-  opts.track_history = cfg_.track_history;
-  opts.precond_fp32 = cfg_.precond_fp32;
   const la::MultiVector b = la::MultiVector::from_columns(rhs);
   la::MultiVector x(b.rows(), b.cols(), 0.0);
-  // The block drivers treat the iterate block as the initial guess
-  // (r₀ = B − A·X₀ per column), so seeding is just filling the columns.
-  for (std::size_t i = 0; i < x0s.size(); ++i) {
-    if (x0s[i].empty()) continue;
-    std::copy(x0s[i].begin(), x0s[i].end(),
-              x.col(static_cast<la::Index>(i)).begin());
-  }
   std::vector<solver::SolveResult> results =
-      solver::run_block_krylov(method_, *a_, *m_inv_, b, x, opts);
+      solver::run_block_krylov(method_, *a_, *m_inv_, b, x, solve_options());
   for (std::size_t i = 0; i < rhs.size(); ++i) {
     const auto col = x.col(static_cast<la::Index>(i));
     xs[i].assign(col.begin(), col.end());

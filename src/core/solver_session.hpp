@@ -88,6 +88,10 @@ struct HybridConfig {
   int mg_levels = 1;
   std::uint64_t seed = 0;
   bool track_history = true;
+
+  /// Field-by-field equality: what SessionCache verifies a fingerprint
+  /// match with.
+  bool operator==(const HybridConfig&) const = default;
 };
 
 /// Optional extra structure for the matrix-first setup path. Everything is
@@ -150,18 +154,13 @@ class SolverSession {
                         const AlgebraicOptions& opts = {});
 
   /// Solve A x = b with the prepared preconditioner. `x` is the initial
-  /// guess on entry (callers typically zero it) and the solution on exit.
+  /// guess on entry and the solution on exit: every driver forms
+  /// r₀ = b − A·x, so a zeroed `x` is a cold start and the previous step's
+  /// solution is the warm start a time-stepping caller wants (a solve
+  /// started from an already-converged solution finishes immediately).
   /// Only iteration cost — no setup work happens here.
   solver::SolveResult solve(std::span<const double> b,
                             std::span<double> x) const;
-
-  /// Warm-started form: `x0` (size n) seeds the iterate — `x` is output
-  /// only. Repeat solves against slowly-drifting right-hand sides on one
-  /// operator (time stepping, the streaming SolveService re-serving a
-  /// client) converge in a fraction of the zero-start iterations; a solve
-  /// seeded with an already-converged solution finishes immediately.
-  solver::SolveResult solve(std::span<const double> b, std::span<double> x,
-                            std::span<const double> x0) const;
 
   /// Solve the same operator against each right-hand side in `rhs`;
   /// `xs` is resized to match, every solve starting from a zero guess.
@@ -174,16 +173,6 @@ class SolverSession {
   std::vector<solver::SolveResult> solve_many(
       std::span<const std::vector<double>> rhs,
       std::vector<std::vector<double>>& xs) const;
-
-  /// Warm-started solve_many: `x0s` is either empty (zero start for every
-  /// column, identical to the overload above) or one guess per right-hand
-  /// side, where an empty inner vector means zero start for that column.
-  /// Both the block engine and the single-RHS solve honor the seeds (the
-  /// block drivers treat the iterate block as the initial guess).
-  std::vector<solver::SolveResult> solve_many(
-      std::span<const std::vector<double>> rhs,
-      std::vector<std::vector<double>>& xs,
-      std::span<const std::vector<double>> x0s) const;
 
   bool ready() const { return m_inv_ != nullptr; }
   /// Operator size n (rows == cols); 0 before setup(). What admission layers
@@ -221,6 +210,7 @@ class SolverSession {
  private:
   void reset_setup_state();
   void check_setup_allowed() const;
+  solver::SolveOptions solve_options() const;
 
   bool setup_locked_ = false;
   HybridConfig cfg_;

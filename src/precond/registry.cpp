@@ -109,7 +109,6 @@ constexpr Entry kTable[] = {
     {"ddm-gnn",
      {.needs_decomposition = true,
       .needs_model = true,
-      .symmetric = false,
       .needs_geometry = true},
      [](const PrecondContext& ctx) {
        return make_schwarz(ctx, "ddm-gnn", make_gnn_local(ctx, "ddm-gnn"));

@@ -3,10 +3,10 @@
 // for "none") to factories returning `std::unique_ptr<Preconditioner>`, so
 // the choice of preconditioner is data (a config string) instead of
 // call-site enum-switch code. Each entry also carries traits — whether its
-// factory needs a domain decomposition, geometry or a trained DSS model, and
-// whether the resulting operator is symmetric — which is what SolverSession
-// uses to decide how much setup to build and which Krylov method is safe by
-// default.
+// factory needs a domain decomposition, geometry or a trained DSS model —
+// which is what SolverSession uses to decide how much setup to build. The
+// default Krylov method follows the built operator's
+// Preconditioner::is_symmetric() instead.
 //
 // The two Schwarz entries differ only in their local solver. Their coarse
 // correction is chosen by PrecondContext::mg_levels alone: 0 = none
@@ -82,9 +82,6 @@ struct PrecondContext {
 struct PrecondTraits {
   bool needs_decomposition = false;
   bool needs_model = false;
-  /// False for learned/nonlinear operators: plain PCG is then unsafe and the
-  /// session defaults to flexible PCG.
-  bool symmetric = true;
   /// Consumes node coordinates + a message-graph pattern (the GNN entries).
   bool needs_geometry = false;
 };

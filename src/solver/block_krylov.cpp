@@ -28,15 +28,13 @@ struct ColumnState {
   std::vector<double> nb, stop, rnorm;  // indexed like act
   std::vector<double> precond_share;    // indexed by ORIGINAL column
   bool track_history = false;
-  bool forensics = false;
 
   ColumnState(const MultiVector& b, const SolveOptions& opts,
               const std::string& method_label) {
     const Index s = b.cols();
     results.resize(s);
     precond_share.assign(s, 0.0);
-    track_history = history_enabled(opts);
-    forensics = obs::forensics_enabled();
+    track_history = opts.track_history;
     act.resize(s);
     nb.resize(s);
     stop.resize(s);
@@ -61,10 +59,7 @@ struct ColumnState {
 
   void add_precond_time(double seconds) {
     const double share = seconds / static_cast<double>(act.size());
-    for (const Index j : act) {
-      precond_share[j] += share;
-      if (forensics) results[j].precond_history.push_back(share);
-    }
+    for (const Index j : act) precond_share[j] += share;
   }
 
   void finalize(std::size_t c, int iterations, bool converged,
@@ -431,14 +426,9 @@ std::vector<SolveResult> block_flexible_pcg(const CsrMatrix& a,
     SolveResult scalar = flexible_pcg(a, m, bj, x.col(j), fb);
     scalar.iterations += res.iterations;
     scalar.precond_seconds += res.precond_seconds;
-    if (cols.forensics) {
-      scalar.precond_history.insert(scalar.precond_history.begin(),
-                                    res.precond_history.begin(),
-                                    res.precond_history.end());
-    }
     scalar.total_seconds = timer.seconds();
     scalar.method = label + ">fallback:" + scalar.method;
-    if (history_enabled(opts)) {
+    if (opts.track_history) {
       scalar.history.insert(scalar.history.begin(), res.history.begin(),
                             res.history.end());
     }

@@ -117,7 +117,6 @@ SolveResult pcg_labelled(const CsrMatrix& a, const precond::Preconditioner& m,
   Accumulator precond_time;
   SolveResult res;
   res.method = std::move(label);
-  std::vector<double>* series = forensic_series(res);
   const std::size_t n = b.size();
   // One preconditioner workspace per solve: applies stay allocation-free in
   // steady state and concurrent solves on one shared M never share scratch.
@@ -126,7 +125,7 @@ SolveResult pcg_labelled(const CsrMatrix& a, const precond::Preconditioner& m,
   std::vector<double> r32;  // fp32-rounded residual (opts.precond_fp32)
   if (opts.precond_fp32) r32.resize(n);
   auto apply_m = [&](std::span<const double> in, std::span<double> out) {
-    PrecondScope t(precond_time, series);
+    PrecondScope t(precond_time);
     if (opts.precond_fp32) {
       la::round_to_float(in, r32);
       m.apply(r32, out, ws.get());
@@ -144,7 +143,7 @@ SolveResult pcg_labelled(const CsrMatrix& a, const precond::Preconditioner& m,
   const double stop = opts.rel_tol * (nb > 0.0 ? nb : 1.0);
   double rho = dot(r, z);
   double rnorm = norm2(r);
-  if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
+  if (opts.track_history) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
   int it = 0;
   while (rnorm > stop && it < opts.max_iterations) {
     obs::Span iter_span("pcg.iter");
@@ -154,7 +153,7 @@ SolveResult pcg_labelled(const CsrMatrix& a, const precond::Preconditioner& m,
     axpy(-alpha, q, r);
     rnorm = norm2(r);
     ++it;
-    if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
+    if (opts.track_history) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
     iter_span.arg("iter", it);
     iter_span.arg("rel_residual", rnorm / (nb > 0 ? nb : 1.0));
     if (rnorm <= stop) break;
@@ -196,14 +195,13 @@ SolveResult flexible_pcg(const CsrMatrix& a, const precond::Preconditioner& m,
   Accumulator precond_time;
   SolveResult res;
   res.method = method_label(KrylovMethod::kFpcg, m);
-  std::vector<double>* series = forensic_series(res);
   const std::size_t n = b.size();
   const auto ws = m.make_workspace();
   std::vector<double> r(n), z(n), z_prev(n), dz(n), p(n), q(n);
   std::vector<double> r32;  // fp32-rounded residual (opts.precond_fp32)
   if (opts.precond_fp32) r32.resize(n);
   auto apply_m = [&](std::span<const double> in, std::span<double> out) {
-    PrecondScope t(precond_time, series);
+    PrecondScope t(precond_time);
     if (opts.precond_fp32) {
       la::round_to_float(in, r32);
       m.apply(r32, out, ws.get());
@@ -220,7 +218,7 @@ SolveResult flexible_pcg(const CsrMatrix& a, const precond::Preconditioner& m,
   const double stop = opts.rel_tol * (nb > 0.0 ? nb : 1.0);
   double rho = dot(r, z);
   double rnorm = norm2(r);
-  if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
+  if (opts.track_history) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
   int it = 0;
   while (rnorm > stop && it < opts.max_iterations) {
     obs::Span iter_span("fpcg.iter");
@@ -242,7 +240,7 @@ SolveResult flexible_pcg(const CsrMatrix& a, const precond::Preconditioner& m,
     axpy(-alpha, q, r);
     rnorm = norm2(r);
     ++it;
-    if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
+    if (opts.track_history) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
     iter_span.arg("iter", it);
     iter_span.arg("rel_residual", rnorm / (nb > 0 ? nb : 1.0));
     if (rnorm <= stop) break;
@@ -266,11 +264,6 @@ SolveResult run_krylov(KrylovMethod method, const CsrMatrix& a,
                        const precond::Preconditioner& m,
                        std::span<const double> b, std::span<double> x,
                        const SolveOptions& opts) {
-  if (!opts.x0.empty()) {
-    DDMGNN_CHECK(opts.x0.size() == x.size(),
-                 "run_krylov: x0 size does not match the system");
-    std::copy(opts.x0.begin(), opts.x0.end(), x.begin());
-  }
   switch (method) {
     case KrylovMethod::kCg: return conjugate_gradient(a, b, x, opts);
     case KrylovMethod::kPcg: return pcg(a, m, b, x, opts);

@@ -2,9 +2,10 @@
 // preconditioned CG exactly as Algorithm 1, plain CG (the same recurrence
 // over the identity preconditioner) and flexible PCG (Polak–Ribière β —
 // required when the preconditioner is not a fixed SPD operator, which is the
-// case for DDM-GNN). All report per-iteration relative residual histories
-// (Fig. 5b) and the accumulated preconditioner time (Table III's T_lu /
-// T_gnn columns).
+// case for DDM-GNN). Every driver takes `x` as its initial guess
+// (r₀ = b − A·x) and overwrites it with the solution. All report
+// per-iteration relative residual histories (Fig. 5b) and the accumulated
+// preconditioner time (Table III's T_lu / T_gnn columns).
 #pragma once
 
 #include <functional>
@@ -50,14 +51,6 @@ struct SolveOptions {
   /// default-method selection does this); the block path's per-column
   /// true-residual verification guards it further.
   bool precond_fp32 = false;
-  /// Warm-start guess: when non-empty (size n), run_krylov copies it into
-  /// `x` before dispatching, so the solve starts from x0 instead of whatever
-  /// the caller left in `x`. Every driver already treats `x` as the initial
-  /// guess (r₀ = b − A·x₀); this field just makes seeding explicit for
-  /// callers — SolverSession::solve_many and the streaming SolveService —
-  /// whose output buffers are freshly allocated. The span is only read
-  /// during the run_krylov call.
-  std::span<const double> x0;
 };
 
 struct SolveResult {
@@ -75,9 +68,6 @@ struct SolveResult {
   /// Why the solve missed tolerance (kNone when converged). Assigned by
   /// classify_failure in every driver.
   obs::FailureReason failure = obs::FailureReason::kNone;
-  /// Seconds of each individual preconditioner application, in order.
-  /// Captured only while obs::forensics_enabled(); empty otherwise.
-  std::vector<double> precond_history;
   std::string method;
 };
 

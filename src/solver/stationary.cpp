@@ -24,7 +24,6 @@ SolveResult stationary_iteration(const CsrMatrix& a,
   Accumulator precond_time;
   SolveResult res;
   res.method = "richardson+" + m.name();
-  std::vector<double>* series = forensic_series(res);
   const std::size_t n = b.size();
   const auto ws = m.make_workspace();
   std::vector<double> r(n), z(n);
@@ -39,7 +38,7 @@ SolveResult stationary_iteration(const CsrMatrix& a,
     a.multiply(x, r);
     for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
     rnorm = la::norm2(r);
-    if (history_enabled(opts)) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
+    if (opts.track_history) res.history.push_back(rnorm / (nb > 0 ? nb : 1.0));
     iter_span.arg("iter", it);
     iter_span.arg("rel_residual", rnorm / (nb > 0 ? nb : 1.0));
     if (!std::isfinite(rnorm) || rnorm > diverged_at) {
@@ -48,7 +47,7 @@ SolveResult stationary_iteration(const CsrMatrix& a,
     }
     if (rnorm <= stop || it >= opts.max_iterations) break;
     {
-      PrecondScope t(precond_time, series);
+      PrecondScope t(precond_time);
       m.apply(r, z, ws.get());
     }
     la::axpy(damping, z, x);

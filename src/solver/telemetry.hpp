@@ -1,41 +1,35 @@
 // Shared solver-driver instrumentation: the one timed window every
-// preconditioner application goes through, and the forensics-series hookup.
+// preconditioner application goes through.
 // Internal to src/solver (krylov.cpp, block_krylov.cpp, stationary.cpp); the
 // public telemetry surface (classify_failure, finalize_solve_telemetry) is
 // declared in krylov.hpp.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/timer.hpp"
 #include "obs/flags.hpp"
 #include "obs/trace.hpp"
-#include "solver/krylov.hpp"
 
 namespace ddmgnn::solver {
 
-/// One timed preconditioner application: the single measurement feeds (a)
-/// SolveResult::precond_seconds via the Accumulator, (b) the forensics
-/// per-application series when enabled, and (c) a "precond.apply" trace span
-/// of the identical duration — so span totals reconcile with precond_seconds
-/// exactly, across every driver (the consistency satellite of the telemetry
-/// PR is true by construction, not by convention).
+/// One timed preconditioner application: the single measurement feeds both
+/// SolveResult::precond_seconds via the Accumulator and a "precond.apply"
+/// trace span of the identical duration — so span totals reconcile with
+/// precond_seconds exactly, across every driver, by construction.
 class PrecondScope {
  public:
-  PrecondScope(Accumulator& acc, std::vector<double>* series,
-               const char* span_name = "precond.apply")
-      : acc_(acc), series_(series), name_(span_name),
-        tracing_(obs::trace_enabled()) {
+  explicit PrecondScope(Accumulator& acc)
+      : acc_(acc), tracing_(obs::trace_enabled()) {
     if (tracing_) start_ns_ = obs::TraceRecorder::instance().now_ns();
     timer_.reset();
   }
   ~PrecondScope() {
     const double s = timer_.seconds();
     acc_.add(s);
-    if (series_ != nullptr) series_->push_back(s);
     if (tracing_) {
-      obs::emit_span(name_, start_ns_, static_cast<std::int64_t>(s * 1e9));
+      obs::emit_span("precond.apply", start_ns_,
+                     static_cast<std::int64_t>(s * 1e9));
     }
   }
   PrecondScope(const PrecondScope&) = delete;
@@ -43,25 +37,9 @@ class PrecondScope {
 
  private:
   Accumulator& acc_;
-  std::vector<double>* series_;
-  const char* name_;
   bool tracing_;
   std::int64_t start_ns_ = 0;
   Timer timer_;
 };
-
-/// &res.precond_history when forensics capture is on, else nullptr (the
-/// series then stays empty and PrecondScope skips the push_back).
-inline std::vector<double>* forensic_series(SolveResult& res) {
-  return obs::forensics_enabled() ? &res.precond_history : nullptr;
-}
-
-/// Residual-history capture gate: the caller's track_history option OR the
-/// process-wide forensics flag — forensics needs the per-iteration residual
-/// series (classify_failure's stagnation window reads it) even when the
-/// caller opted out of history, as serving front-ends do.
-inline bool history_enabled(const SolveOptions& opts) {
-  return opts.track_history || obs::forensics_enabled();
-}
 
 }  // namespace ddmgnn::solver

@@ -160,7 +160,7 @@ TEST(AlgebraicSetup, EveryAlgebraicCapableEntryMatchesMeshSetup) {
 // eliminated couplings (their preconditioner depends only on A's values).
 TEST(AlgebraicSetup, GraphFreeEntriesMatchOnStandardAssembly) {
   auto [m, prob] = make_problem(/*keep_pattern=*/false);
-  for (const std::string& name : {"none", "jacobi", "ic0"}) {
+  for (const char* name : {"none", "jacobi", "ic0"}) {
     core::HybridConfig cfg = base_config(name, nullptr);
     cfg.max_iterations = 2000;
     core::SolverSession mesh_session;

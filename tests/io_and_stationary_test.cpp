@@ -1,16 +1,11 @@
-// Tests for dataset serialization (round trip, dedup, corruption rejection)
-// and the stationary Schwarz iteration (paper Eq. 8): it must converge as a
-// fixed-point solver and be strictly slower than its PCG-accelerated form.
+// Tests for the stationary Schwarz iteration (paper Eq. 8): it must converge
+// as a fixed-point solver and be strictly slower than its PCG-accelerated
+// form.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <memory>
-#include <set>
 
 #include "common/rng.hpp"
-#include "core/dataset.hpp"
-#include "core/dataset_io.hpp"
 #include "fem/poisson.hpp"
 #include "la/vector_ops.hpp"
 #include "mesh/generator.hpp"
@@ -24,52 +19,6 @@ namespace {
 
 using namespace ddmgnn;
 using mesh::Point2;
-
-TEST(DatasetIo, RoundTripPreservesEverything) {
-  core::DatasetConfig dc;
-  dc.num_global_problems = 1;
-  dc.mesh_target_nodes = 700;
-  dc.subdomain_target_nodes = 220;
-  dc.seed = 99;
-  const auto data = core::generate_dataset(dc);
-  const std::string path = "test_dataset_roundtrip.bin";
-  core::save_dataset(data, path);
-  const auto loaded = core::load_dataset(path);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->train.size(), data.train.size());
-  ASSERT_EQ(loaded->validation.size(), data.validation.size());
-  ASSERT_EQ(loaded->test.size(), data.test.size());
-  for (std::size_t i = 0; i < data.train.size(); ++i) {
-    const auto& a = data.train[i];
-    const auto& b = loaded->train[i];
-    ASSERT_EQ(a.topo->n, b.topo->n);
-    ASSERT_EQ(a.rhs, b.rhs);
-    ASSERT_EQ(a.topo->recv, b.topo->recv);
-    ASSERT_EQ(a.topo->attr, b.topo->attr);
-    ASSERT_EQ(a.topo->a_local.nnz(), b.topo->a_local.nnz());
-    // Operator values identical.
-    for (la::Offset k = 0; k < a.topo->a_local.nnz(); ++k) {
-      ASSERT_EQ(a.topo->a_local.values()[k], b.topo->a_local.values()[k]);
-    }
-  }
-  // Topology sharing survives the round trip (dedup worked).
-  std::set<const gnn::GraphTopology*> orig, back;
-  for (const auto& s : data.train) orig.insert(s.topo.get());
-  for (const auto& s : loaded->train) back.insert(s.topo.get());
-  EXPECT_EQ(orig.size(), back.size());
-  std::filesystem::remove(path);
-}
-
-TEST(DatasetIo, RejectsCorruptFiles) {
-  EXPECT_FALSE(core::load_dataset("missing_dataset.bin").has_value());
-  const std::string path = "test_dataset_garbage.bin";
-  {
-    std::ofstream f(path, std::ios::binary);
-    f << "garbage bytes here";
-  }
-  EXPECT_FALSE(core::load_dataset(path).has_value());
-  std::filesystem::remove(path);
-}
 
 /// Largest eigenvalue of M⁻¹A by power iteration (M⁻¹A is similar to an SPD
 /// operator for SPD M, so the dominant eigenvalue is real positive).

@@ -84,7 +84,6 @@ TEST(Registry, EveryRegisteredNameConstructsAndNameMatches) {
     const auto p = precond::make_preconditioner(c.name, ctx);
     ASSERT_NE(p, nullptr) << c.label();
     EXPECT_EQ(p->name(), c.name) << c.label();
-    EXPECT_EQ(p->is_symmetric(), traits.symmetric) << c.label();
   }
 }
 

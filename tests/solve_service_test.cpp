@@ -1,10 +1,9 @@
 // SolveService behavior: batched windows return bitwise what the direct
-// session paths return for the same window composition, backpressure honors
-// the queue cap under both admission policies and counts every refused
-// submit as a rejection, QoS deadlines shrink windows,
-// shutdown drains every admitted future, warm starts converge immediately,
-// and a multi-producer stress run (the TSan CI target) completes every
-// request exactly once.
+// session paths return for the same window composition, a full queue makes
+// submit wait for space and a submit refused at shutdown counts as a
+// rejection, shutdown drains every admitted future, a session solve started
+// from a converged solution finishes at once, and a multi-producer stress
+// run (the TSan CI target) completes every request exactly once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -167,48 +166,12 @@ TEST(SolveServiceWindow, LockstepBatchBitwiseEqualsScalarSolves) {
   }
 }
 
-TEST(SolveServiceBackpressure, RejectPolicyBouncesAtCapacity) {
-  const la::CsrMatrix A = grid_laplacian(16, 0.0);
-  const core::HybridConfig cfg = lu_config();
-  core::SessionCache cache(1u << 30);
-  core::ServiceConfig scfg = paused_friendly(/*max_batch=*/8, 50ms);
-  scfg.queue_capacity = 4;
-  core::SolveService svc(cache, scfg);
-  const auto op = svc.register_operator(A, cfg);
-  svc.pause();
-
-  core::SubmitOptions reject;
-  reject.on_full = core::AdmissionPolicy::kReject;
-  std::vector<std::future<core::SolveService::Reply>> futs;
-  for (int i = 0; i < 4; ++i) {
-    auto fut = svc.submit(op,
-                          random_rhs(static_cast<std::size_t>(A.rows()),
-                                     static_cast<std::uint64_t>(i)),
-                          reject);
-    ASSERT_TRUE(fut.has_value()) << i;
-    futs.push_back(std::move(*fut));
-  }
-  EXPECT_EQ(svc.queue_depth(), 4u);
-  // Queue full: the 5th submission bounces instead of blocking.
-  auto overflow = svc.submit(
-      op, random_rhs(static_cast<std::size_t>(A.rows()), 99), reject);
-  EXPECT_FALSE(overflow.has_value());
-  EXPECT_EQ(svc.stats().rejected, 1u);
-
-  svc.resume();
-  for (auto& f : futs) EXPECT_TRUE(f.get().result.converged);
-  const auto st = svc.stats();
-  EXPECT_EQ(st.submitted, 4u);
-  EXPECT_EQ(st.completed, 4u);
-}
-
-TEST(SolveServiceBackpressure, BlockPolicyWaitsForSpace) {
+TEST(SolveServiceBackpressure, FullQueueSubmitWaitsForSpace) {
   const la::CsrMatrix A = grid_laplacian(16, 0.0);
   const core::HybridConfig cfg = lu_config();
   core::SessionCache cache(1u << 30);
   core::ServiceConfig scfg = paused_friendly(/*max_batch=*/2, 50ms);
   scfg.queue_capacity = 2;
-  scfg.on_full = core::AdmissionPolicy::kBlock;
   core::SolveService svc(cache, scfg);
   const auto op = svc.register_operator(A, cfg);
   svc.pause();
@@ -248,7 +211,6 @@ TEST(SolveServiceBackpressure, BlockedSubmitAtShutdownCountsAsRejection) {
   core::SessionCache cache(1u << 30);
   core::ServiceConfig scfg = paused_friendly(/*max_batch=*/2, 50ms);
   scfg.queue_capacity = 2;
-  scfg.on_full = core::AdmissionPolicy::kBlock;
   core::SolveService svc(cache, scfg);
   const auto op = svc.register_operator(A, cfg);
   svc.pause();
@@ -287,45 +249,6 @@ TEST(SolveServiceBackpressure, BlockedSubmitAtShutdownCountsAsRejection) {
   EXPECT_EQ(svc.stats().rejected, 1u);
   EXPECT_EQ(rejected_delta, 1u);
   for (auto& f : futs) EXPECT_TRUE(f.get().result.converged);
-}
-
-TEST(SolveServiceQoS, EffectiveWindowWaitShrinksWithDeadline) {
-  using std::chrono::microseconds;
-  // No deadline → the full window wait.
-  EXPECT_EQ(core::effective_window_wait(microseconds(2000), microseconds(0)),
-            microseconds(2000));
-  // A generous deadline changes nothing.
-  EXPECT_EQ(
-      core::effective_window_wait(microseconds(2000), microseconds(100000)),
-      microseconds(2000));
-  // A tight deadline caps the wait at half its budget.
-  EXPECT_EQ(core::effective_window_wait(microseconds(2000), microseconds(500)),
-            microseconds(250));
-  // An immediate deadline closes the window at once.
-  EXPECT_EQ(core::effective_window_wait(microseconds(2000), microseconds(1)),
-            microseconds(0));
-}
-
-TEST(SolveServiceQoS, DeadlineClosesWindowEarly) {
-  const la::CsrMatrix A = grid_laplacian(16, 0.0);
-  const core::HybridConfig cfg = lu_config();
-  core::SessionCache cache(1u << 30);
-  // Without a deadline a lone request would sit the full 10 s window wait.
-  core::SolveService svc(cache, paused_friendly(/*max_batch=*/16, 10s));
-  const auto op = svc.register_operator(A, cfg);
-
-  core::SubmitOptions qos;
-  qos.deadline = 10ms;
-  auto fut = svc.submit(
-      op, random_rhs(static_cast<std::size_t>(A.rows()), 5), qos);
-  ASSERT_TRUE(fut.has_value());
-  // The deadline must close (and solve) the window orders of magnitude
-  // before the configured max_wait.
-  ASSERT_EQ(fut->wait_for(5s), std::future_status::ready);
-  const auto reply = fut->get();
-  EXPECT_TRUE(reply.result.converged);
-  EXPECT_EQ(reply.batch_columns, 1);
-  EXPECT_LT(reply.queue_seconds, 1.0);
 }
 
 TEST(SolveServiceShutdown, DrainCompletesEveryAdmittedFuture) {
@@ -370,33 +293,12 @@ TEST(SolveServiceWarmStart, ConvergedGuessFinishesImmediately) {
   ASSERT_TRUE(cold.converged);
   ASSERT_GT(cold.iterations, 2);
 
-  // Session-level warm start: seeding with the converged solution leaves
-  // (near-)nothing to do.
-  std::vector<double> x_warm(b.size(), 0.0);
-  const auto warm = session->solve(b, x_warm, x);
+  // `x` is solve()'s initial guess: started from the converged solution,
+  // (near-)nothing is left to do.
+  std::vector<double> x_warm = x;
+  const auto warm = session->solve(b, x_warm);
   EXPECT_TRUE(warm.converged);
   EXPECT_LE(warm.iterations, 2);
-
-  // solve_many warm start, mixed seeded/unseeded columns.
-  const auto b2 = random_rhs(static_cast<std::size_t>(A.rows()), 8);
-  std::vector<std::vector<double>> bs{b, b2};
-  std::vector<std::vector<double>> x0s{x, {}};
-  std::vector<std::vector<double>> xs;
-  const auto many = session->solve_many(bs, xs, x0s);
-  EXPECT_TRUE(many[0].converged);
-  EXPECT_LE(many[0].iterations, 2);
-  EXPECT_TRUE(many[1].converged);
-
-  // Service-level warm start rides the same plumbing.
-  core::SolveService svc(cache, paused_friendly(/*max_batch=*/4, 1ms));
-  const auto op = svc.register_operator(A, cfg);
-  core::SubmitOptions qos;
-  qos.x0 = x;
-  auto fut = svc.submit(op, b, qos);
-  ASSERT_TRUE(fut.has_value());
-  const auto reply = fut->get();
-  EXPECT_TRUE(reply.result.converged);
-  EXPECT_LE(reply.result.iterations, 2);
 }
 
 TEST(SolveServiceContract, BadSubmitsThrowAndShutdownRefuses) {
@@ -410,24 +312,17 @@ TEST(SolveServiceContract, BadSubmitsThrowAndShutdownRefuses) {
   EXPECT_THROW(svc->submit(op + 1, std::vector<double>(
                                        static_cast<std::size_t>(A.rows()))),
                ContractError);
-  core::SubmitOptions bad_seed;
-  const std::vector<double> tiny(2, 0.0);
-  bad_seed.x0 = tiny;
-  EXPECT_THROW(svc->submit(op,
-                           std::vector<double>(
-                               static_cast<std::size_t>(A.rows()), 1.0),
-                           bad_seed),
-               ContractError);
   svc->shutdown();
   EXPECT_THROW(svc->submit(op, std::vector<double>(
                                    static_cast<std::size_t>(A.rows()), 1.0)),
                ContractError);
 }
 
-// The CI TSan target: multi-producer, two operators, mixed QoS and warm
-// starts, every future harvested. Correctness assertions are deliberately
-// light — the run exists to put admission, window formation, execution and
-// completion under real cross-thread contention.
+// The CI TSan target: multi-producer, two operators, a queue cap below the
+// producer count (so concurrent submits can wait for space), every future
+// harvested. Correctness assertions are deliberately light — the run exists
+// to put admission, window formation, execution and completion under real
+// cross-thread contention.
 TEST(SolveServiceStress, ManyProducersCompleteEveryRequest) {
   const la::CsrMatrix A = grid_laplacian(16, 0.0);
   const la::CsrMatrix B = grid_laplacian(14, 0.5);
@@ -437,7 +332,7 @@ TEST(SolveServiceStress, ManyProducersCompleteEveryRequest) {
   scfg.num_workers = 2;
   scfg.max_batch = 4;
   scfg.max_wait = std::chrono::microseconds(300);
-  scfg.queue_capacity = 16;
+  scfg.queue_capacity = 2;
   core::SolveService svc(cache, scfg);
   const auto opA = svc.register_operator(A, cfg);
   const auto opB = svc.register_operator(B, cfg);
@@ -445,7 +340,6 @@ TEST(SolveServiceStress, ManyProducersCompleteEveryRequest) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 12;
   std::atomic<long> completed{0};
-  std::atomic<long> rejected{0};
   std::vector<std::thread> producers;
   for (int t = 0; t < kProducers; ++t) {
     producers.emplace_back([&, t] {
@@ -453,17 +347,10 @@ TEST(SolveServiceStress, ManyProducersCompleteEveryRequest) {
       for (int i = 0; i < kPerProducer; ++i) {
         const bool useA = rng.uniform() < 0.5;
         const auto& M = useA ? A : B;
-        core::SubmitOptions qos;
-        if (i % 3 == 0) qos.deadline = std::chrono::microseconds(200);
-        if (i % 4 == 3) qos.on_full = core::AdmissionPolicy::kReject;
         auto fut = svc.submit(useA ? opA : opB,
                               random_rhs(static_cast<std::size_t>(M.rows()),
-                                         rng()),
-                              qos);
-        if (!fut.has_value()) {
-          rejected.fetch_add(1);
-          continue;
-        }
+                                         rng()));
+        ASSERT_TRUE(fut.has_value());
         const auto reply = fut->get();
         EXPECT_TRUE(reply.result.converged);
         EXPECT_GE(reply.batch_columns, 1);
@@ -474,9 +361,10 @@ TEST(SolveServiceStress, ManyProducersCompleteEveryRequest) {
   for (auto& p : producers) p.join();
 
   const auto st = svc.stats();
-  EXPECT_EQ(completed.load() + rejected.load(), kProducers * kPerProducer);
+  EXPECT_EQ(completed.load(), kProducers * kPerProducer);
+  EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(completed.load()));
   EXPECT_EQ(st.completed, static_cast<std::uint64_t>(completed.load()));
-  EXPECT_EQ(st.rejected, static_cast<std::uint64_t>(rejected.load()));
+  EXPECT_EQ(st.rejected, 0u);
   EXPECT_EQ(st.columns, st.completed);
   EXPECT_GE(st.windows, 1u);
 }

@@ -36,13 +36,16 @@
 // registry. --trace out.json captures a Chrome trace_event timeline;
 // --metrics out.json dumps the registry snapshot at exit.
 // Any other argument (a typo such as --level) exits 2, naming it and
-// listing the accepted flags.
+// listing the accepted flags; so does a flag given twice.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -78,20 +81,26 @@ bool is_one_of(const char* arg, std::span<const char* const> names) {
   return false;
 }
 
-/// False (after printing why) when an argument is not an accepted flag or a
-/// value flag lacks its value.
+/// False (after printing why) when an argument is not an accepted flag, a
+/// flag is given twice, or a value flag lacks its value.
 bool flags_accepted(int argc, char** argv) {
+  std::vector<std::string_view> seen;
   for (int i = 1; i < argc; ++i) {
-    if (is_one_of(argv[i], kSwitches)) continue;
-    if (is_one_of(argv[i], kValueFlags)) {
-      if (++i < argc) continue;
-      std::fprintf(stderr, "%s needs a value\n", argv[i - 1]);
+    const bool is_switch = is_one_of(argv[i], kSwitches);
+    if (!is_switch && !is_one_of(argv[i], kValueFlags)) {
+      std::fprintf(stderr, "unknown flag %s; accepted:", argv[i]);
+      for (const char* name : kValueFlags) std::fprintf(stderr, " %s", name);
+      for (const char* name : kSwitches) std::fprintf(stderr, " %s", name);
+      std::fprintf(stderr, "\n");
       return false;
     }
-    std::fprintf(stderr, "unknown flag %s; accepted:", argv[i]);
-    for (const char* name : kValueFlags) std::fprintf(stderr, " %s", name);
-    for (const char* name : kSwitches) std::fprintf(stderr, " %s", name);
-    std::fprintf(stderr, "\n");
+    if (std::find(seen.begin(), seen.end(), argv[i]) != seen.end()) {
+      std::fprintf(stderr, "%s given more than once\n", argv[i]);
+      return false;
+    }
+    seen.emplace_back(argv[i]);
+    if (is_switch || ++i < argc) continue;
+    std::fprintf(stderr, "%s needs a value\n", argv[i - 1]);
     return false;
   }
   return true;
