@@ -76,6 +76,13 @@ class MultiVector {
 void dot_columns(const MultiVector& x, const MultiVector& y,
                  std::span<double> out);
 
+/// out[k] = <x, y_{cols[k]}> for every listed column of y, each bit for bit
+/// la::dot(x, y.col(cols[k])). Below kParallelThreshold rows or on one
+/// thread, one pass over x carries up to eight columns as independent add
+/// chains, each in la::dot's row order; otherwise it calls la::dot per column.
+void dot_many(std::span<const double> x, const MultiVector& y,
+              std::span<const Index> cols, std::span<double> out);
+
 /// out[j] = ||x_j||₂.
 void norm2_columns(const MultiVector& x, std::span<double> out);
 

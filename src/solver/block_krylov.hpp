@@ -24,9 +24,9 @@
 //    typically converges in substantially fewer iterations than scalar
 //    fpcg — this is where the block apply pays (fewer iterations, each
 //    running all K×s local solves in one parallel region). Nonlinear
-//    preconditioners (the GNN) are handled flexibly: conjugation only
-//    against the previous block, stagnation detection, and a per-column
-//    true-residual verification with scalar-fpcg fallback as the
+//    preconditioners (the GNN) are handled flexibly: conjugation against a
+//    bounded window of stored direction blocks, stagnation detection, and a
+//    per-column true-residual verification with scalar-fpcg fallback as the
 //    correctness net.
 #pragma once
 

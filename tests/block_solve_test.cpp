@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -316,6 +317,128 @@ TEST(BlockFpcg, SharedSubspaceConvergesEveryColumn) {
   // hardest column needs alone (each column minimizes over a superset of
   // its own directions).
   EXPECT_LE(max_block, max_seq + 1);
+}
+
+// FNV-1a over the bytes of every x, column after column: one number that
+// moves with any bit of any column.
+std::uint64_t digest(const std::vector<std::vector<double>>& xs) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::vector<double>& x : xs) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(x.data());
+    for (std::size_t i = 0; i < x.size() * sizeof(double); ++i) {
+      h = (h ^ bytes[i]) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Block FPCG's window passes (the candidates' projection against the stored
+// directions and the Galerkin update of x and r) keep every column's
+// operation order, so every x, iteration count, deflation and scalar-fallback
+// decision keeps its bits. The digests were taken when both passes still ran
+// column by column. Cases: the served configuration at 5 (a remainder past
+// any 4-wide column grouping), 8 and 16 (SolveService's max_batch) columns;
+// the forced-FPCG ddm-lu block of SharedSubspaceConvergesEveryColumn, whose
+// duplicated column takes the MGS drop path, plus a zero column that
+// deflates before the first iteration; and a solve above
+// la::kParallelThreshold rows at 2 threads, where every dot adds two
+// per-thread partials. They are the portable x86-64 build's bits: where the
+// compiler may contract a*b+c into fused multiply-adds only the iteration
+// counts are pinned.
+TEST(BlockFpcg, WindowProjectionsKeepPinnedDigests) {
+#if defined(__FP_FAST_FMA) || defined(__FMA__)
+  constexpr bool kPortableBits = false;
+#else
+  constexpr bool kPortableBits = true;
+#endif
+  test::ThreadGuard guard;
+  struct Pin {
+    std::vector<int> iterations;
+    std::uint64_t x;
+  };
+  auto check = [&](const core::SolverSession& session,
+                   const std::vector<std::vector<double>>& rhs,
+                   const Pin& pin) {
+    ASSERT_EQ(session.method(), solver::KrylovMethod::kFpcg);
+    std::vector<std::vector<double>> xs;
+    const auto results = session.solve_many(rhs, xs);
+    std::vector<int> iterations;
+    for (const solver::SolveResult& res : results) {
+      EXPECT_TRUE(res.converged);
+      iterations.push_back(res.iterations);
+    }
+    EXPECT_EQ(iterations, pin.iterations);
+    if (kPortableBits) {
+      EXPECT_EQ(digest(xs), pin.x) << std::hex << digest(xs);
+    }
+  };
+
+  set_num_threads(1);
+  {
+    auto [m, prob] = small_problem(41, 2000);
+    ASSERT_LT(prob.A.rows(), la::kParallelThreshold);
+    const gnn::DssModel model = tiny_model();
+    core::SolverSession session;
+    session.setup(m, prob, test::served_config(model));
+    std::vector<std::vector<double>> rhs;
+    for (int j = 0; j < 16; ++j) {
+      rhs.push_back(random_vector(prob.b.size(), 300 + j));
+    }
+    const Pin pins[] = {
+        {{17, 17, 16, 17, 16}, 0x44eedae0a419b8a0ull},
+        {{15, 15, 14, 15, 14, 15, 15, 14}, 0x66c77f9ab8cd6177ull},
+        {{11, 11, 11, 11, 11, 11, 11, 11, 12, 11, 12, 11, 12, 11, 11, 11},
+         0x4d2a259a85c6cc17ull}};
+    const int counts[] = {5, 8, 16};
+    for (int i = 0; i < 3; ++i) {
+      SCOPED_TRACE("served, " + std::to_string(counts[i]) + " columns");
+      check(session,
+            std::vector<std::vector<double>>(rhs.begin(),
+                                             rhs.begin() + counts[i]),
+            pins[i]);
+    }
+  }
+  {
+    SCOPED_TRACE("ddm-lu, duplicated and zero columns");
+    auto [m, prob] = small_problem(17, 1400);
+    core::HybridConfig cfg;
+    cfg.preconditioner = "ddm-lu";
+    cfg.method = solver::KrylovMethod::kFpcg;
+    cfg.subdomain_target_nodes = 300;
+    cfg.rel_tol = 1e-8;
+    cfg.track_history = false;
+    core::SolverSession session;
+    session.setup(m, prob, cfg);
+    std::vector<std::vector<double>> rhs{
+        prob.b, std::vector<double>(prob.b.size(), 0.0)};
+    for (int j = 0; j < 5; ++j) {
+      rhs.push_back(random_vector(prob.b.size(), 200 + j));
+    }
+    rhs.push_back(prob.b);
+    check(session, rhs,
+          {{15, 0, 16, 16, 16, 16, 16, 15}, 0xc89bb1b3e5e4774eull});
+  }
+#ifndef DDMGNN_TSAN  // 2 threads; see thread_sweep.hpp
+  {
+    SCOPED_TRACE("ddm-lu above the parallel threshold, 2 threads");
+    set_num_threads(2);
+    auto [m, prob] = small_problem(43, 10000);
+    ASSERT_GT(prob.A.rows(), la::kParallelThreshold);
+    core::HybridConfig cfg;
+    cfg.preconditioner = "ddm-lu";
+    cfg.method = solver::KrylovMethod::kFpcg;
+    cfg.subdomain_target_nodes = 350;
+    cfg.rel_tol = 1e-8;
+    cfg.track_history = false;
+    core::SolverSession session;
+    session.setup(m, prob, cfg);
+    std::vector<std::vector<double>> rhs{prob.b};
+    for (int j = 0; j < 3; ++j) {
+      rhs.push_back(random_vector(prob.b.size(), 400 + j));
+    }
+    check(session, rhs, {{33, 34, 34, 33}, 0xabda9426f1c9184bull});
+  }
+#endif
 }
 
 // A NaN right-hand side stops a block solve's column exactly where the

@@ -1,5 +1,6 @@
-// Unit + property tests for the linear-algebra substrate: CSR assembly and
-// algebra, dense factorizations, RCM, skyline Cholesky, IC(0).
+// Unit + property tests for the linear-algebra substrate: the dot kernels,
+// CSR assembly and algebra, dense factorizations, RCM, skyline Cholesky,
+// IC(0).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,7 @@
 #include "la/csr.hpp"
 #include "la/dense.hpp"
 #include "la/ic0.hpp"
+#include "la/multivector.hpp"
 #include "la/rcm.hpp"
 #include "la/skyline_cholesky.hpp"
 #include "la/spgemm.hpp"
@@ -106,6 +108,41 @@ TEST(VectorOps, DotRepeatsBitForBitAtEveryThreadCount) {
         const double got = la::dot(x, y);
         ASSERT_EQ(std::memcmp(&got, &expected, sizeof got), 0)
             << "n=" << n << " threads=" << t << " repeat=" << rep;
+      }
+    }
+  }
+}
+
+// dot_many carries up to eight columns as independent add chains in one pass
+// and, above the parallel threshold on 2+ threads, calls dot per column;
+// every column must come out bit for bit dot's, whatever the group widths
+// (1-9 columns: one pass, or 5 + 4) and for a list in no particular order.
+TEST(VectorOps, DotManyEqualsDotPerColumnBitForBit) {
+  test::ThreadGuard guard;
+  constexpr Index kCols = 12;
+  std::vector<std::vector<Index>> lists;
+  for (Index s = 1; s <= 9; ++s) {
+    lists.emplace_back(s);
+    std::iota(lists.back().begin(), lists.back().end(), Index{0});
+  }
+  lists.push_back({11, 2, 7, 3, 9, 0});
+  for (const Index n : {2054, 8193, 100003}) {
+    const auto x = random_vector(n, 5);
+    la::MultiVector y(n, kCols);
+    for (Index j = 0; j < kCols; ++j) {
+      la::copy(random_vector(n, 100 + j), y.col(j));
+    }
+    for (const int t : test::sweep_threads()) {
+      set_num_threads(t);
+      for (const std::vector<Index>& cols : lists) {
+        std::vector<double> got(cols.size());
+        la::dot_many(x, y, cols, got);
+        for (std::size_t k = 0; k < cols.size(); ++k) {
+          const double want = la::dot(x, y.col(cols[k]));
+          ASSERT_EQ(std::memcmp(&got[k], &want, sizeof want), 0)
+              << "n=" << n << " threads=" << t << " columns=" << cols.size()
+              << " entry " << k << ": " << got[k] << " vs " << want;
+        }
       }
     }
   }

@@ -36,10 +36,16 @@
 // registry. --trace out.json captures a Chrome trace_event timeline;
 // --metrics out.json dumps the registry snapshot at exit.
 // Any other argument (a typo such as --level) exits 2, naming it and
-// listing the accepted flags; so does a flag given twice.
+// listing the accepted flags; so does a flag given twice, and a numeric
+// value that is not wholly a finite number (--tol 1e-6x), or not a whole
+// number for an integer flag (--nodes abc, --threads 2.5). A --nodes value
+// the mesh generator rejects (--nodes -5) exits 2 with its error.
 #include <algorithm>
+#include <cctype>
+#include <climits>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <span>
@@ -114,9 +120,33 @@ const char* arg_str(int argc, char** argv, const char* name,
   return fallback;
 }
 
-double arg_num(int argc, char** argv, const char* name, double fallback) {
+/// The value of numeric flag `name`, or `fallback` when it is absent. Exits
+/// 2, naming the flag and the value, unless the value is wholly a finite
+/// number and, if `integral`, a whole number an int holds.
+double arg_num(int argc, char** argv, const char* name, double fallback,
+               bool integral) {
   const char* s = arg_str(argc, argv, name, nullptr);
-  return s ? std::atof(s) : fallback;
+  if (s == nullptr) return fallback;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  const bool ok = end != s && *end == '\0' && std::isfinite(v) &&
+                  !std::isspace(static_cast<unsigned char>(*s)) &&
+                  (!integral ||
+                   (v == std::trunc(v) && v >= INT_MIN && v <= INT_MAX));
+  if (!ok) {
+    std::fprintf(stderr, "%s %s: not a %s\n", name, s,
+                 integral ? "whole number within int range" : "finite number");
+    std::exit(2);
+  }
+  return v;
+}
+
+int arg_int(int argc, char** argv, const char* name, int fallback) {
+  return static_cast<int>(arg_num(argc, argv, name, fallback, true));
+}
+
+double arg_real(int argc, char** argv, const char* name, double fallback) {
+  return arg_num(argc, argv, name, fallback, false);
 }
 
 bool has_flag(int argc, char** argv, const char* name) {
@@ -177,15 +207,27 @@ void write_obs_outputs(const char* trace_path, const char* metrics_path) {
 int main(int argc, char** argv) {
   using namespace ddmgnn;
   if (!flags_accepted(argc, argv)) return 2;
-  const auto nodes = static_cast<la::Index>(arg_num(argc, argv, "--nodes", 10000));
+  // Every numeric flag is read here, before any work, so a malformed value
+  // exits 2 at once.
+  const la::Index nodes = arg_int(argc, argv, "--nodes", 10000);
   const std::string precond = arg_str(argc, argv, "--precond", "ddm-lu");
   const std::string krylov = arg_str(argc, argv, "--krylov", "");
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(arg_num(argc, argv, "--seed", 1));
-  const int repeat = static_cast<int>(arg_num(argc, argv, "--repeat", 1));
+  const auto seed =
+      static_cast<std::uint64_t>(arg_int(argc, argv, "--seed", 1));
+  const int repeat = arg_int(argc, argv, "--repeat", 1);
+  const double omega_flag = arg_real(argc, argv, "--omega", 0.0);
+  core::HybridConfig cfg;
+  cfg.preconditioner = precond;
+  cfg.subdomain_target_nodes = arg_int(argc, argv, "--sub-nodes", 350);
+  cfg.overlap = arg_int(argc, argv, "--overlap", 2);
+  cfg.rel_tol = arg_real(argc, argv, "--tol", 1e-6);
+  cfg.max_iterations = arg_int(argc, argv, "--max-iters", 5000);
+  cfg.gnn_refinement_steps = arg_int(argc, argv, "--refine", 0);
+  cfg.mg_levels = arg_int(argc, argv, "--levels", 1);
+  cfg.seed = seed;
   // --threads N overrides DDMGNN_THREADS / OMP defaults for this process;
   // the effective count is reported on every result line either way.
-  const int threads_flag = static_cast<int>(arg_num(argc, argv, "--threads", 0));
+  const int threads_flag = arg_int(argc, argv, "--threads", 0);
   if (arg_str(argc, argv, "--threads", nullptr) != nullptr) {
     if (threads_flag <= 0) {
       std::fprintf(stderr, "--threads must be > 0 (got %d)\n", threads_flag);
@@ -252,8 +294,13 @@ int main(int argc, char** argv) {
     }
     prob.dirichlet.assign(prob.A.rows(), 0);
   } else {
-    m = mesh::generate_mesh_target_nodes(mesh::random_domain(seed), nodes,
-                                         seed);
+    try {
+      m = mesh::generate_mesh_target_nodes(mesh::random_domain(seed), nodes,
+                                           seed);
+    } catch (const ddmgnn::ContractError& e) {
+      std::fprintf(stderr, "--nodes %d: %s\n", nodes, e.what());
+      return 2;
+    }
     const auto q = fem::sample_quadratic_data(seed);
     prob = fem::assemble_poisson(
         *m, [&](const mesh::Point2& p) { return q.f(p); },
@@ -261,18 +308,6 @@ int main(int argc, char** argv) {
   }
   const la::Index problem_nodes =
       matrix_path != nullptr ? prob.A.rows() : m->num_nodes();
-
-  core::HybridConfig cfg;
-  cfg.preconditioner = precond;
-  cfg.subdomain_target_nodes =
-      static_cast<la::Index>(arg_num(argc, argv, "--sub-nodes", 350));
-  cfg.overlap = static_cast<int>(arg_num(argc, argv, "--overlap", 2));
-  cfg.rel_tol = arg_num(argc, argv, "--tol", 1e-6);
-  cfg.max_iterations = static_cast<int>(arg_num(argc, argv, "--max-iters", 5000));
-  cfg.gnn_refinement_steps =
-      static_cast<int>(arg_num(argc, argv, "--refine", 0));
-  cfg.mg_levels = static_cast<int>(arg_num(argc, argv, "--levels", 1));
-  cfg.seed = seed;
 
   std::optional<gnn::DssModel> model;
   if (traits.needs_model) {
@@ -339,7 +374,6 @@ int main(int argc, char** argv) {
     // so the default damping comes from a cheap power-iteration bound;
     // --omega overrides it (--omega 1 reproduces the plain Eq. 8 form).
     const char* omega_str = arg_str(argc, argv, "--omega", nullptr);
-    const double omega_flag = omega_str != nullptr ? std::atof(omega_str) : 0.0;
     if (omega_str != nullptr && !(omega_flag > 0.0)) {
       std::fprintf(stderr, "--omega must be > 0 (got %s); omit the flag for "
                    "the power-iteration default\n", omega_str);
