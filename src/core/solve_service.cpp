@@ -132,16 +132,17 @@ SolveService::claim_window(
     Clock::time_point now, std::optional<Clock::time_point>& next_close) {
   // Scan for the due window whose oldest request is most urgent; while
   // scanning, remember the earliest future close so the caller knows when to
-  // wake again. A queue is "due" when it reached max_batch, when its oldest
-  // request (the FIFO front) has waited max_wait, or when the service is
-  // draining.
+  // wake again. A queue is "due" when it holds the rest of a closed window,
+  // when it reached max_batch, when its oldest request (the FIFO front) has
+  // waited max_wait, or when the service is draining.
   std::size_t best = operators_.size();
   Clock::time_point best_close{};
   for (std::size_t k = 0; k < operators_.size(); ++k) {
-    const auto& q = operators_[k]->queue;
+    const OperatorState& op = *operators_[k];
+    const auto& q = op.queue;
     if (q.empty()) continue;
     const Clock::time_point close = q.front().enqueued + cfg_.max_wait;
-    const bool due = stopping_ ||
+    const bool due = op.closed > 0 || stopping_ ||
                      q.size() >= static_cast<std::size_t>(cfg_.max_batch) ||
                      close <= now;
     if (due) {
@@ -155,8 +156,16 @@ SolveService::claim_window(
   }
   if (best == operators_.size()) return std::nullopt;
   OperatorState& op = *operators_[best];
-  const std::size_t take =
-      std::min(op.queue.size(), static_cast<std::size_t>(cfg_.max_batch));
+  // The due window is the rest of a closed one, or else a fresh one closing
+  // now. The idle workers, this one included, share it: this worker takes
+  // the front ceil(window / idle), and the rest stays closed for the next.
+  const std::size_t window =
+      op.closed > 0 ? op.closed
+                    : std::min(op.queue.size(),
+                               static_cast<std::size_t>(cfg_.max_batch));
+  const auto idle = static_cast<std::size_t>(cfg_.num_workers - busy_);
+  const std::size_t take = (window + idle - 1) / idle;
+  op.closed = window - take;
   std::vector<Request> batch;
   batch.reserve(take);
   for (std::size_t i = 0; i < take; ++i) {
@@ -247,11 +256,17 @@ void SolveService::worker_loop() {
     }
     if (window) {
       OperatorState& op = *operators_[window->first];
+      ++busy_;
+      // A peer re-scans what is left: the rest of a closed window is due
+      // at once, and a fresh front needs someone to time its close.
+      const bool left = queued_ > 0;
       lock.unlock();
+      if (left) work_cv_.notify_one();
       // Freed queue space: wake one blocked submitter per popped request.
       space_cv_.notify_all();
       execute_window(op, std::move(window->second));
       lock.lock();
+      --busy_;
       continue;
     }
     if (stopping_ && queued_ == 0) return;

@@ -19,11 +19,18 @@
 // A request is an operator key and a right-hand side; every solve starts
 // from a zero guess.
 //
-// Dynamic batching: each operator owns a FIFO admission queue. Workers close
-// a queue's window — and execute it as one solve_many call — when it holds
-// cfg.max_batch columns OR when its oldest request (the queue's front) has
-// waited cfg.max_wait, whichever comes first. Futures complete
-// individually, each with its own SolveResult and solution.
+// Dynamic batching: each operator owns a FIFO admission queue. A queue's
+// window — its first min(queue, cfg.max_batch) requests — closes when the
+// queue holds cfg.max_batch columns OR when its oldest request (the queue's
+// front) has waited cfg.max_wait, whichever comes first. The workers that
+// are idle when it closes share it: the claiming worker executes the first
+// ceil(window / idle) requests as one solve_many call, and the rest of the
+// closed window is due at once for the next idle worker, which shares it
+// the same way. With one worker, or with every other worker busy, the
+// claiming worker runs the whole window. Block FPCG does not get cheaper
+// per column as a window widens on the served operator, so an idle worker
+// is the cheapest capacity left. Futures complete individually, each with
+// its own SolveResult and solution.
 //
 // Backpressure: queues are bounded (cfg.queue_capacity per operator); at
 // capacity, submit() blocks until a worker frees space. Shutdown drains:
@@ -62,7 +69,8 @@ struct ServiceConfig {
   /// Worker threads executing windows. Workers are the solve parallelism
   /// axis (a window runs on one worker); independent windows — same or
   /// different operators — run concurrently, which prepared sessions
-  /// support by contract.
+  /// support by contract. A closed window is split among the workers idle
+  /// when it closes, so none of them idles while requests wait.
   int num_workers = 2;
   /// A window closes when it holds this many right-hand sides...
   int max_batch = 16;
@@ -166,6 +174,10 @@ class SolveService {
   struct OperatorState {
     std::shared_ptr<SolverSession> session;
     std::deque<Request> queue;
+    /// The front requests of a window that closed and still wait for a
+    /// worker: while nonzero the queue is due, and the next claim shares
+    /// out these requests instead of closing a fresh window.
+    std::size_t closed = 0;
   };
 
   OperatorKey key_for_session(std::shared_ptr<SolverSession> session);
@@ -173,8 +185,9 @@ class SolveService {
   /// stats(), the registry and the trace.
   std::nullopt_t reject();
   void worker_loop();
-  /// Pops the due window whose oldest request waited longest, under mu_;
-  /// nullopt when nothing is due yet (next_close = when to re-check).
+  /// Pops the claiming worker's share of the due window whose oldest
+  /// request waited longest, under mu_; nullopt when nothing is due yet
+  /// (next_close = when to re-check).
   std::optional<std::pair<std::size_t, std::vector<Request>>> claim_window(
       std::chrono::steady_clock::time_point now,
       std::optional<std::chrono::steady_clock::time_point>& next_close);
@@ -190,6 +203,7 @@ class SolveService {
   bool stopping_ = false;
   bool paused_ = false;
   std::size_t queued_ = 0;  // across all operators
+  int busy_ = 0;            // workers executing a window
 
   std::vector<std::thread> workers_;
 

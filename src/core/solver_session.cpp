@@ -1,5 +1,7 @@
 #include "core/solver_session.hpp"
 
+#include <cmath>
+#include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
@@ -15,6 +17,22 @@
 #include "solver/block_krylov.hpp"
 
 namespace ddmgnn::core {
+
+namespace {
+
+/// A tolerance or iteration budget no solve can meet fails setup up front
+/// instead of burning the budget (or running no iteration) on every solve.
+void check_solve_budget(const HybridConfig& cfg) {
+  std::ostringstream tol;
+  tol << cfg.rel_tol;
+  DDMGNN_CHECK(std::isfinite(cfg.rel_tol) && cfg.rel_tol > 0.0,
+               "setup: rel_tol must be finite and > 0, got " + tol.str());
+  DDMGNN_CHECK(cfg.max_iterations >= 1,
+               "setup: max_iterations must be >= 1, got " +
+                   std::to_string(cfg.max_iterations));
+}
+
+}  // namespace
 
 void SolverSession::reset_setup_state() {
   // Reset first so ANY setup failure — including an unknown name — leaves
@@ -43,6 +61,7 @@ void SolverSession::setup_from_graph(const la::CsrMatrix& A,
                                      const AlgebraicOptions& opts) {
   check_setup_allowed();
   reset_setup_state();
+  check_solve_budget(cfg);
   cfg_ = cfg;
   DDMGNN_CHECK(adj_ptr.size() == static_cast<std::size_t>(A.rows()) + 1,
                "setup_from_graph: adjacency does not match the operator");
@@ -124,6 +143,7 @@ void SolverSession::setup(const la::CsrMatrix& A, const HybridConfig& cfg,
   DDMGNN_CHECK(A.rows() == A.cols(),
                "setup(A): operator must be square, got " +
                    std::to_string(A.rows()) + "x" + std::to_string(A.cols()));
+  check_solve_budget(cfg);
   const precond::PrecondTraits traits =
       precond::preconditioner_traits(cfg.preconditioner);
   const auto n = static_cast<std::size_t>(A.rows());

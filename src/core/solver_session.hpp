@@ -55,6 +55,8 @@ struct HybridConfig {
   std::optional<solver::KrylovMethod> method;
   la::Index subdomain_target_nodes = 1000;  // paper's Ns
   int overlap = 2;
+  /// Stopping rule of every solve. Setup throws ContractError unless
+  /// rel_tol is finite and > 0 and max_iterations >= 1.
   double rel_tol = 1e-6;
   int max_iterations = 2000;
   /// Required for the GNN preconditioners.

@@ -1,9 +1,10 @@
 // Tests of the setup/solve session API and the preconditioner table: table
 // round-trips (every configuration constructs and the instance reports its
 // table name), mg_levels alone picking the Schwarz coarse correction, the
-// unknown-name error path, alias resolution, Krylov-method selector
-// round-trips, setup-once/solve-many state reuse, and setup and solve
-// reproducibility (fresh sessions; repeat solves at 4 threads).
+// unknown-name and bad-tolerance error paths, alias resolution,
+// Krylov-method selector round-trips, setup-once/solve-many state reuse, and
+// setup and solve reproducibility (fresh sessions; repeat solves at 4
+// threads).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -288,6 +289,47 @@ TEST(SolverSession, UnknownPreconditionerNameThrowsBeforeAnySetup) {
   EXPECT_FALSE(session.ready());
   std::vector<double> x(prob.b.size(), 0.0);
   EXPECT_THROW(session.solve(prob.b, x), ContractError);
+}
+
+// A tolerance or iteration budget no solve can meet fails setup before the
+// decomposition, naming the field, on the mesh and the matrix-first paths.
+TEST(SolverSession, BadToleranceOrIterationBudgetThrowsBeforeAnySetup) {
+  auto [m, prob] = small_problem(23, 600);
+  struct Case {
+    double rel_tol;
+    int max_iterations;
+    const char* field;
+  };
+  const Case cases[] = {
+      {0.0, 500, "rel_tol"},
+      {-1.0, 500, "rel_tol"},
+      {std::nan(""), 500, "rel_tol"},
+      {1e-8, 0, "max_iterations"},
+  };
+  for (const Case& c : cases) {
+    core::HybridConfig cfg;
+    cfg.preconditioner = "ddm-lu";
+    cfg.subdomain_target_nodes = 250;
+    cfg.rel_tol = c.rel_tol;
+    cfg.max_iterations = c.max_iterations;
+    for (const bool algebraic : {false, true}) {
+      core::SolverSession session;
+      try {
+        if (algebraic) {
+          session.setup(prob.A, cfg);
+        } else {
+          session.setup(m, prob, cfg);
+        }
+        ADD_FAILURE() << "expected ContractError for rel_tol=" << c.rel_tol
+                      << " max_iterations=" << c.max_iterations;
+      } catch (const ContractError& e) {
+        EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+            << e.what();
+      }
+      EXPECT_FALSE(session.ready());
+      EXPECT_EQ(session.num_subdomains(), 0) << "decomposed before the check";
+    }
+  }
 }
 
 TEST(SolverSession, FailedReSetupLeavesSessionNotReady) {

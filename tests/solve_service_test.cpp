@@ -1,5 +1,6 @@
 // SolveService behavior: batched windows return bitwise what the direct
-// session paths return for the same window composition, a full queue makes
+// session paths return for the same window composition, idle workers share
+// a due window and its rest runs at once, a full queue makes
 // submit wait for space and a submit refused at shutdown counts as a
 // rejection, shutdown drains every admitted future, a session solve started
 // from a converged solution finishes at once, and a multi-producer stress
@@ -68,6 +69,9 @@ core::ServiceConfig paused_friendly(int max_batch,
   return cfg;
 }
 
+// One worker runs each due window whole, so the paused queue of s merges
+// into one window (two idle workers would share it; see
+// IdleWorkersShareADueWindow).
 TEST(SolveServiceWindow, BatchedWindowBitwiseEqualsDirectSolveMany) {
   const la::CsrMatrix A = grid_laplacian(24, 0.0);
   const core::HybridConfig cfg = lu_config();
@@ -75,7 +79,9 @@ TEST(SolveServiceWindow, BatchedWindowBitwiseEqualsDirectSolveMany) {
   auto direct = cache.get_or_setup(A, cfg);
 
   for (const int s : {2, 3, 5}) {
-    core::SolveService svc(cache, paused_friendly(/*max_batch=*/8, 50ms));
+    core::ServiceConfig scfg = paused_friendly(/*max_batch=*/8, 50ms);
+    scfg.num_workers = 1;
+    core::SolveService svc(cache, scfg);
     const auto op = svc.register_operator(A, cfg);
     svc.pause();
     std::vector<std::vector<double>> bs;
@@ -106,6 +112,66 @@ TEST(SolveServiceWindow, BatchedWindowBitwiseEqualsDirectSolveMany) {
             << "s=" << s << " col=" << i << " row=" << j;
       }
     }
+  }
+}
+
+// Two idle workers share a due window of six: the claiming worker takes the
+// front ceil(6 / 2) = 3, and the rest is due at once for its peer instead of
+// waiting out max_wait (1 h here). Forced block FPCG makes each window's
+// composition show in its bits, so every reply must equal a direct
+// solve_many over exactly the FIFO segment its batch_columns names.
+TEST(SolveServiceWindow, IdleWorkersShareADueWindow) {
+  const la::CsrMatrix A = grid_laplacian(24, 0.0);
+  core::HybridConfig cfg = lu_config();
+  cfg.method = solver::KrylovMethod::kFpcg;
+  core::SessionCache cache(1u << 30);
+  auto direct = cache.get_or_setup(A, cfg);
+
+  constexpr int kRequests = 6;
+  core::SolveService svc(cache, paused_friendly(/*max_batch=*/kRequests, 1h));
+  const auto op = svc.register_operator(A, cfg);
+  svc.pause();
+  std::vector<std::vector<double>> bs;
+  std::vector<std::future<core::SolveService::Reply>> futs;
+  for (int i = 0; i < kRequests; ++i) {
+    bs.push_back(random_rhs(static_cast<std::size_t>(A.rows()),
+                            300 + 11 * static_cast<std::uint64_t>(i)));
+    auto fut = svc.submit(op, bs.back());
+    ASSERT_TRUE(fut.has_value());
+    futs.push_back(std::move(*fut));
+  }
+  svc.resume();
+
+  std::vector<core::SolveService::Reply> replies;
+  for (auto& f : futs) {
+    ASSERT_EQ(f.wait_for(60s), std::future_status::ready)
+        << "the rest of a closed window waited for max_wait";
+    replies.push_back(f.get());
+  }
+  EXPECT_EQ(replies.front().batch_columns, 3);
+
+  // Windows are claimed from the queue's front, so they are FIFO segments.
+  for (std::size_t begin = 0; begin < replies.size();) {
+    const auto width = static_cast<std::size_t>(replies[begin].batch_columns);
+    ASSERT_GE(width, 1u);
+    ASSERT_LE(begin + width, replies.size());
+    const std::vector<std::vector<double>> segment(
+        bs.begin() + static_cast<std::ptrdiff_t>(begin),
+        bs.begin() + static_cast<std::ptrdiff_t>(begin + width));
+    std::vector<std::vector<double>> xs_direct;
+    const auto res_direct = direct->solve_many(segment, xs_direct);
+    for (std::size_t c = 0; c < width; ++c) {
+      const auto& reply = replies[begin + c];
+      EXPECT_EQ(reply.batch_columns, static_cast<int>(width));
+      EXPECT_TRUE(reply.result.converged);
+      EXPECT_EQ(reply.result.iterations, res_direct[c].iterations);
+      ASSERT_EQ(reply.x.size(), xs_direct[c].size());
+      for (std::size_t j = 0; j < reply.x.size(); ++j) {
+        EXPECT_EQ(reply.x[j], xs_direct[c][j])
+            << "request=" << begin + c << " row=" << j;
+      }
+    }
+    begin += width;
   }
 }
 

@@ -28,7 +28,8 @@
 // builds the smoothed-aggregation hierarchy, applied as a V-cycle). When a
 // hierarchy is active a per-level stats block (rows / nnz per level,
 // dense-factor and total coarse bytes) is printed after setup. An invalid
-// setting (e.g. a negative --levels) exits 2 with the setup error.
+// setting (a negative --levels, a --tol that is not > 0, a --max-iters
+// below 1) exits 2 with the setup error.
 // --threads N pins the worker-thread count (reported as threads= on every
 // result line so timings stay interpretable).
 // --verbose-timing prints a one-line phase summary (setup / iterate /
