@@ -12,9 +12,19 @@
 // the window.
 //
 //   ./streaming_solve [num_clients] [requests_per_client]
+//
+// num_clients is a whole number from 1 to 64 (default 4) and
+// requests_per_client one of at least 1 (default 8); anything else exits 2.
+// Exits 1 when a reply is unconverged or the service completed fewer
+// requests than it admitted.
+#include <atomic>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -46,11 +56,31 @@ la::CsrMatrix grid_laplacian(la::Index side, double diagonal_shift) {
   return std::move(coo).build();
 }
 
+/// `text` as a whole number in [lo, hi]; nullopt when it is not one.
+std::optional<int> parse_count(const char* text, long lo, long hi) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || v < lo || v > hi) return std::nullopt;
+  return static_cast<int>(v);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int clients = argc > 1 ? std::atoi(argv[1]) : 4;
-  const int per_client = argc > 2 ? std::atoi(argv[2]) : 8;
+  const std::optional<int> clients_arg =
+      argc > 1 ? parse_count(argv[1], 1, 64) : 4;
+  const std::optional<int> per_client_arg =
+      argc > 2 ? parse_count(argv[2], 1, INT_MAX) : 8;
+  if (argc > 3 || !clients_arg || !per_client_arg) {
+    std::fprintf(stderr,
+                 "usage: %s [num_clients 1-64] [requests_per_client >= 1]\n",
+                 argv[0]);
+    return 2;
+  }
+  const int clients = *clients_arg;
+  const int per_client = *per_client_arg;
   const la::Index side = 48;
   const la::Index n = side * side;
 
@@ -62,8 +92,7 @@ int main(int argc, char** argv) {
 
   // The cache owns the prepared sessions; the service owns the batching.
   core::SessionCache cache(/*byte_budget=*/1u << 28);
-  core::SolveService svc(cache, {.num_workers = 2, .max_batch = 8,
-                                 .max_wait = std::chrono::microseconds(500)});
+  core::SolveService svc(cache);
 
   // Two distinct operators — a base Laplacian and a shifted one — each with
   // its own admission queue. Requests only batch with same-operator traffic.
@@ -83,6 +112,7 @@ int main(int argc, char** argv) {
   std::vector<std::thread> threads;
   std::vector<long> client_iters(static_cast<std::size_t>(clients), 0);
   std::vector<int> client_batched(static_cast<std::size_t>(clients), 0);
+  std::atomic<int> unconverged{0};
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       Rng rng(100 + 13 * static_cast<std::uint64_t>(c));
@@ -100,6 +130,7 @@ int main(int argc, char** argv) {
         const core::SolveService::Reply r = fut.get();
         if (!r.result.converged) {
           std::printf("client %d: UNCONVERGED solve\n", c);
+          unconverged.fetch_add(1);
         }
         iters += r.result.iterations;
         if (r.batch_columns > 1) ++batched;
@@ -131,5 +162,12 @@ int main(int argc, char** argv) {
               st.completed > 0
                   ? static_cast<double>(st.precond_applies) / st.completed
                   : 0.0);
+  if (unconverged.load() > 0 || st.completed != st.submitted) {
+    std::fprintf(stderr, "FAILED: %d unconverged, %llu of %llu completed\n",
+                 unconverged.load(),
+                 static_cast<unsigned long long>(st.completed),
+                 static_cast<unsigned long long>(st.submitted));
+    return 1;
+  }
   return 0;
 }

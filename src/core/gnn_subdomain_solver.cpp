@@ -17,6 +17,21 @@ namespace ddmgnn::core {
 
 namespace {
 
+/// A local residual norm at or below this is zero: its correction is 0.
+constexpr double kZeroThreshold = 1e-300;
+/// Adaptive setup: the contraction ‖r − A_i z‖/‖r‖ a subdomain's pass count
+/// must reach on each of kProbes deterministic residuals within
+/// kMaxRefinementSteps extra passes, or the subdomain takes the exact
+/// factor.
+constexpr double kContractionTarget = 0.25;
+constexpr int kMaxRefinementSteps = 3;
+constexpr int kProbes = 2;
+/// The GNN apply must be predicted MORE than this many times costlier than
+/// the exact sweeps before cost alone sends a contractive subdomain to the
+/// exact factor — a wide margin, so only overwhelming mismatches flip, never
+/// modeling noise.
+constexpr double kFallbackCostMargin = 8.0;
+
 /// One timed + traced DSS inference. The phase profile is only collected
 /// while timing is on; the disabled path is the bare virtual call.
 inline void timed_forward(const gnn::DssModel& model,
@@ -112,18 +127,15 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
   // Refine-until-contractive: probe each subdomain with deterministic unit
   // residuals and keep the smallest pass count whose measured contraction
   // ‖r − A_i z‖/‖r‖ meets the target; subdomains the model cannot contract
-  // within the pass budget get an exact Cholesky fallback. With
-  // cost_aware_fallback, contractive subdomains additionally get the exact
-  // solve when a flop model (deterministic — no timing, so the chosen
-  // configuration is reproducible across runs and machines) predicts the
-  // refined GNN apply to cost more than fallback_cost_margin × the envelope
-  // sweeps.
+  // within the pass budget get an exact Cholesky fallback. Contractive
+  // subdomains additionally get the exact solve when a flop model
+  // (deterministic — no timing, so the chosen configuration is reproducible
+  // across runs and machines) predicts the refined GNN apply to cost more
+  // than kFallbackCostMargin × the envelope sweeps.
   refine_steps_.assign(k, std::max(0, options_.refinement_steps));
   fallback_.resize(k);
   const int max_steps =
-      std::max(options_.refinement_steps, options_.max_refinement_steps);
-  const int probes = std::max(1, options_.probes);
-  const double target = options_.contraction_target;
+      std::max(options_.refinement_steps, kMaxRefinementSteps);
   const gnn::DssConfig& mc = model_->config();
   std::atomic<la::Index> fallbacks{0};
   parallel_for_dynamic(k, [&](long i) {
@@ -136,7 +148,7 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
     std::vector<float> out;
     std::vector<double> r(n), z(n), res(n);
     int needed = -1;  // pass count reaching the target, max over probes
-    for (int probe = 0; probe < probes; ++probe) {
+    for (int probe = 0; probe < kProbes; ++probe) {
       Rng rng((0x5EEDull << 32) ^ (static_cast<std::uint64_t>(i) << 8) ^
               static_cast<std::uint64_t>(probe));
       for (std::size_t l = 0; l < n; ++l) r[l] = rng.uniform(-1.0, 1.0);
@@ -146,7 +158,7 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
       int reached = -1;
       for (int pass = 0; pass <= max_steps; ++pass) {
         const double norm = la::norm2(res);
-        if (norm <= options_.zero_threshold) {
+        if (norm <= kZeroThreshold) {
           reached = pass == 0 ? 0 : pass - 1;
           break;
         }
@@ -160,7 +172,7 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
         topo->a_local.multiply(z, res);
         for (std::size_t l = 0; l < n; ++l) res[l] = r[l] - res[l];
         const double rho = la::norm2(res) / (r0 > 0.0 ? r0 : 1.0);
-        if (std::isfinite(rho) && rho <= target) {
+        if (std::isfinite(rho) && rho <= kContractionTarget) {
           reached = pass;
           break;
         }
@@ -173,7 +185,7 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
     }
     bool use_fallback = needed < 0;  // non-contractive: correctness fallback
     std::unique_ptr<la::SkylineCholesky> chol;
-    if (!use_fallback && options_.cost_aware_fallback) {
+    if (!use_fallback) {
       // Cost model, per preconditioner application. Exact: forward+backward
       // envelope sweeps, 2 flops per stored entry each (the factorization is
       // one-time setup cost, not counted). GNN: (passes+1) inferences, each
@@ -196,8 +208,7 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
                2.0 * nd * h * d) +
           2.0 * nd * d * h;
       const double gnn_flops = (needed + 1) * per_inference;
-      use_fallback =
-          gnn_flops > options_.fallback_cost_margin * exact_flops;
+      use_fallback = gnn_flops > kFallbackCostMargin * exact_flops;
     }
     if (use_fallback) {
       if (!chol) chol = std::make_unique<la::SkylineCholesky>(topo->a_local);
@@ -274,7 +285,7 @@ void GnnSubdomainSolver::solve(la::Index i, std::span<const double> r,
   res.assign(r.begin(), r.end());
   for (int pass = 0; pass <= steps; ++pass) {
     const double norm = la::norm2(res);
-    if (norm <= options_.zero_threshold) break;
+    if (norm <= kZeroThreshold) break;
     const double inv = options_.normalize_input ? 1.0 / norm : 1.0;
     for (std::size_t j = 0; j < n; ++j) sample.rhs[j] = res[j] * inv;
     timed_forward(*model_, sample, packed_, lane.dss, out);

@@ -33,7 +33,6 @@ class GnnSubdomainSolver final : public precond::SubdomainSolver {
  public:
   struct Options {
     bool normalize_input = true;  // the §III-A normalization (ablatable)
-    double zero_threshold = 1e-300;
     /// Extra residual-correction passes per local solve:
     ///   v ← v + ‖res‖ · DSSθ(G_i(res/‖res‖)),  res = r_i − A_i v.
     /// 0 reproduces the paper exactly (one inference per subdomain per PCG
@@ -42,32 +41,18 @@ class GnnSubdomainSolver final : public precond::SubdomainSolver {
     /// budget (see DESIGN.md); the ablation bench quantifies it.
     int refinement_steps = 0;
     /// Refine-until-contractive setup (the served-configuration fix): probe
-    /// each subdomain at setup() with a few deterministic residuals, run the
+    /// each subdomain at setup() with two deterministic residuals, run the
     /// refinement loop on the probe, and keep the smallest pass count whose
-    /// measured contraction ‖r − A_i z‖/‖r‖ reaches contraction_target. A
-    /// subdomain still above the target after max_refinement_steps extra
-    /// passes is non-contractive for this model and falls back to an exact
-    /// skyline-Cholesky local solve. refinement_steps then acts as the
-    /// per-subdomain floor.
+    /// measured contraction ‖r − A_i z‖/‖r‖ reaches 0.25. A subdomain still
+    /// above that after 3 extra passes is non-contractive for this model and
+    /// falls back to an exact skyline-Cholesky local solve. So does a
+    /// contractive subdomain whose refined GNN apply a deterministic flop
+    /// model predicts to cost more than 8× the Cholesky sweeps: at small
+    /// subdomain sizes on CPU the envelope sweep is both cheaper AND exact
+    /// (100×+ is typical at Ns≈350), and the GNN local solve only pays off
+    /// where batched inference amortizes (large subdomains, GPU-class
+    /// backends). refinement_steps then acts as the per-subdomain floor.
     bool adaptive_refinement = false;
-    double contraction_target = 0.25;
-    int max_refinement_steps = 3;
-    int probes = 2;
-    /// Within the adaptive setup, also fall back to the exact solve when a
-    /// deterministic flop model says the refined GNN apply costs more than
-    /// cost_margin × the Cholesky sweeps. A contractive-but-uneconomic
-    /// subdomain is a real serving failure mode on CPU: at small subdomain
-    /// sizes the envelope sweep is both cheaper AND exact, and the GNN local
-    /// solve only pays off where batched inference amortizes (large
-    /// subdomains, GPU-class backends). Set false to force the GNN apply on
-    /// every contractive subdomain regardless of cost (ablations, kernel
-    /// benchmarking).
-    bool cost_aware_fallback = true;
-    /// GNN must be predicted MORE than this many times costlier than the
-    /// exact sweeps before cost alone triggers the fallback — a wide margin,
-    /// so only overwhelming mismatches (100×+ is typical at Ns≈350 on CPU)
-    /// flip, never modeling noise.
-    double fallback_cost_margin = 8.0;
     /// Run the Cholesky-fallback sweeps on an fp32 factor copy — the local
     /// piece of a mixed-precision apply (pair with SolveOptions::precond_fp32;
     /// the outer Krylov's flexibility/true-residual guard absorbs the

@@ -32,13 +32,16 @@ std::uint64_t hash_pod(const T& v, std::uint64_t h) {
   return fnv1a(&v, sizeof(T), h);
 }
 
-std::uint64_t fingerprint_of(const la::CsrMatrix& A, const HybridConfig& cfg,
+/// Hashes the operator and its setup inputs only: entries of one operator
+/// under different configs share a fingerprint, and Entry::matches tells
+/// them apart with HybridConfig's defaulted operator==.
+std::uint64_t fingerprint_of(const la::CsrMatrix& A,
                              const AlgebraicOptions& opts,
                              const mesh::Mesh* m) {
   std::uint64_t h = 0xCBF29CE484222325ull;
   // Source tag + setup graph: a mesh-keyed session is prepared with the mesh
   // adjacency, a matrix-keyed one with the matrix pattern — identical
-  // (A, cfg, opts) must NOT collide across the two, or a hit would return a
+  // (A, opts) must NOT collide across the two, or a hit would return a
   // session decomposed over the wrong graph.
   const std::uint8_t mesh_keyed = m != nullptr ? 1 : 0;
   h = hash_pod(mesh_keyed, h);
@@ -52,25 +55,7 @@ std::uint64_t fingerprint_of(const la::CsrMatrix& A, const HybridConfig& cfg,
   h = hash_span(A.col_idx(), h);
   h = hash_span(A.values(), h);
   h = hash_span(opts.dirichlet, h);
-  h = hash_span(opts.coordinates, h);
-  h = fnv1a(cfg.preconditioner.data(), cfg.preconditioner.size(), h);
-  const int method = cfg.method.has_value()
-                         ? static_cast<int>(*cfg.method)
-                         : -1;
-  h = hash_pod(method, h);
-  h = hash_pod(cfg.subdomain_target_nodes, h);
-  h = hash_pod(cfg.overlap, h);
-  h = hash_pod(cfg.rel_tol, h);
-  h = hash_pod(cfg.max_iterations, h);
-  h = hash_pod(cfg.model, h);  // identity of the shared trained model
-  h = hash_pod(cfg.gnn_refinement_steps, h);
-  h = hash_pod(cfg.gnn_normalize, h);
-  h = hash_pod(cfg.gnn_adaptive_refinement, h);
-  h = hash_pod(cfg.precond_fp32, h);
-  h = hash_pod(cfg.mg_levels, h);
-  h = hash_pod(cfg.seed, h);
-  h = hash_pod(cfg.track_history, h);
-  return h;
+  return hash_span(opts.coordinates, h);
 }
 
 template <typename T>
@@ -259,14 +244,14 @@ std::shared_ptr<SolverSession> SessionCache::get_or_setup(
   AlgebraicOptions opts;
   opts.dirichlet = prob.dirichlet;
   opts.coordinates = m.points();
-  return lookup_or_insert(fingerprint_of(prob.A, cfg, opts, &m), prob.A, cfg,
-                          opts, &m);
+  return lookup_or_insert(fingerprint_of(prob.A, opts, &m), prob.A, cfg, opts,
+                          &m);
 }
 
 std::shared_ptr<SolverSession> SessionCache::get_or_setup(
     const la::CsrMatrix& A, const HybridConfig& cfg,
     const AlgebraicOptions& opts) {
-  return lookup_or_insert(fingerprint_of(A, cfg, opts, nullptr), A, cfg, opts,
+  return lookup_or_insert(fingerprint_of(A, opts, nullptr), A, cfg, opts,
                           nullptr);
 }
 

@@ -5,11 +5,14 @@
 // (partitioning, factorizations, DSS graph construction, coarse space),
 // whose cost perfbench reports as setup_s next to each workload's solve_s.
 //
-// Keying: a 64-bit FNV-1a fingerprint over the operator's CSR arrays, the
-// extra algebraic structure (dirichlet mask, coordinates) and every
-// HybridConfig field that influences the prepared state or solve behavior.
-// Fingerprint matches are verified by exact comparison before a hit is
-// declared, so hash collisions degrade to misses, never to wrong sessions.
+// Keying: a 64-bit FNV-1a fingerprint over the operator's CSR arrays, its
+// setup graph and the extra algebraic structure (dirichlet mask,
+// coordinates) — not the HybridConfig. A fingerprint match is verified by
+// exact comparison of all of these and of the config (HybridConfig's
+// defaulted operator==, so a new config field keys the cache with no code
+// here) before a hit is declared: one operator under several configs is
+// several entries sharing a fingerprint, and a hash collision degrades to a
+// miss, never to a wrong session.
 //
 // Ownership: each entry owns a private copy of its operator (and mesh /
 // problem for the mesh-keyed overload), so cached sessions never dangle when
@@ -19,7 +22,7 @@
 // its own reference, never free a session another thread is solving on. The
 // one reference an entry does NOT own is cfg.model: trained models are large
 // and shared, so GNN-preconditioned entries require the model to outlive the
-// cache (the model pointer is part of the fingerprint).
+// cache (the model pointer is part of the key).
 //
 // Concurrency: get_or_setup is safe from any number of threads. One mutex
 // guards the entry list, the byte total, the recency clock and the counters;

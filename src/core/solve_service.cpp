@@ -15,6 +15,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// A claim shares out at most this many of a queue's front requests, so no
+/// window is wider than ceil(16 / num_workers).
+constexpr std::size_t kMaxShared = 16;
+
 double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
@@ -49,7 +53,6 @@ struct ServiceMetrics {
 SolveService::SolveService(SessionCache& cache, ServiceConfig cfg)
     : cache_(cache), cfg_(cfg) {
   DDMGNN_CHECK(cfg_.num_workers >= 1, "SolveService: num_workers must be >= 1");
-  DDMGNN_CHECK(cfg_.max_batch >= 1, "SolveService: max_batch must be >= 1");
   DDMGNN_CHECK(cfg_.queue_capacity >= 1,
                "SolveService: queue_capacity must be >= 1");
   workers_.reserve(static_cast<std::size_t>(cfg_.num_workers));
@@ -128,44 +131,23 @@ std::nullopt_t SolveService::reject() {
 }
 
 std::optional<std::pair<std::size_t, std::vector<SolveService::Request>>>
-SolveService::claim_window(
-    Clock::time_point now, std::optional<Clock::time_point>& next_close) {
-  // Scan for the due window whose oldest request is most urgent; while
-  // scanning, remember the earliest future close so the caller knows when to
-  // wake again. A queue is "due" when it holds the rest of a closed window,
-  // when it reached max_batch, when its oldest request (the FIFO front) has
-  // waited max_wait, or when the service is draining.
+SolveService::claim_window() {
+  // Queues are ordered by admission, so the oldest waiting request is the
+  // oldest of the fronts.
   std::size_t best = operators_.size();
-  Clock::time_point best_close{};
   for (std::size_t k = 0; k < operators_.size(); ++k) {
-    const OperatorState& op = *operators_[k];
-    const auto& q = op.queue;
-    if (q.empty()) continue;
-    const Clock::time_point close = q.front().enqueued + cfg_.max_wait;
-    const bool due = op.closed > 0 || stopping_ ||
-                     q.size() >= static_cast<std::size_t>(cfg_.max_batch) ||
-                     close <= now;
-    if (due) {
-      if (best == operators_.size() || close < best_close) {
-        best = k;
-        best_close = close;
-      }
-    } else if (!next_close || close < *next_close) {
-      next_close = close;
+    const auto& q = operators_[k]->queue;
+    if (!q.empty() && (best == operators_.size() ||
+                       q.front().enqueued <
+                           operators_[best]->queue.front().enqueued)) {
+      best = k;
     }
   }
   if (best == operators_.size()) return std::nullopt;
   OperatorState& op = *operators_[best];
-  // The due window is the rest of a closed one, or else a fresh one closing
-  // now. The idle workers, this one included, share it: this worker takes
-  // the front ceil(window / idle), and the rest stays closed for the next.
-  const std::size_t window =
-      op.closed > 0 ? op.closed
-                    : std::min(op.queue.size(),
-                               static_cast<std::size_t>(cfg_.max_batch));
-  const auto idle = static_cast<std::size_t>(cfg_.num_workers - busy_);
-  const std::size_t take = (window + idle - 1) / idle;
-  op.closed = window - take;
+  const auto workers = static_cast<std::size_t>(cfg_.num_workers);
+  const std::size_t take =
+      (std::min(op.queue.size(), kMaxShared) + workers - 1) / workers;
   std::vector<Request> batch;
   batch.reserve(take);
   for (std::size_t i = 0; i < take; ++i) {
@@ -249,16 +231,11 @@ void SolveService::execute_window(OperatorState& op,
 void SolveService::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    std::optional<Clock::time_point> next_close;
     std::optional<std::pair<std::size_t, std::vector<Request>>> window;
-    if (!paused_ || stopping_) {
-      window = claim_window(Clock::now(), next_close);
-    }
+    if (!paused_ || stopping_) window = claim_window();
     if (window) {
       OperatorState& op = *operators_[window->first];
-      ++busy_;
-      // A peer re-scans what is left: the rest of a closed window is due
-      // at once, and a fresh front needs someone to time its close.
+      // The rest of the queue is a peer's to claim.
       const bool left = queued_ > 0;
       lock.unlock();
       if (left) work_cv_.notify_one();
@@ -266,15 +243,10 @@ void SolveService::worker_loop() {
       space_cv_.notify_all();
       execute_window(op, std::move(window->second));
       lock.lock();
-      --busy_;
       continue;
     }
     if (stopping_ && queued_ == 0) return;
-    if (next_close && !paused_) {
-      work_cv_.wait_until(lock, *next_close);
-    } else {
-      work_cv_.wait(lock);
-    }
+    work_cv_.wait(lock);
   }
 }
 
@@ -316,11 +288,6 @@ SolveService::Stats SolveService::stats() const {
   s.max_window = max_window_.load(std::memory_order_relaxed);
   s.precond_applies = precond_applies_.load(std::memory_order_relaxed);
   return s;
-}
-
-std::size_t SolveService::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queued_;
 }
 
 }  // namespace ddmgnn::core

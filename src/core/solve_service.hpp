@@ -10,7 +10,7 @@
 // solving it alone. SolveService routes streaming traffic through that path:
 //
 //   core::SessionCache cache(1u << 30);
-//   core::SolveService svc(cache, {.num_workers = 2, .max_batch = 16});
+//   core::SolveService svc(cache, {.num_workers = 2});
 //   const auto op = svc.register_operator(A, cfg);      // prepared via cache
 //   auto fut = svc.submit(op, std::move(rhs));          // returns immediately
 //   ...
@@ -19,18 +19,19 @@
 // A request is an operator key and a right-hand side; every solve starts
 // from a zero guess.
 //
-// Dynamic batching: each operator owns a FIFO admission queue. A queue's
-// window — its first min(queue, cfg.max_batch) requests — closes when the
-// queue holds cfg.max_batch columns OR when its oldest request (the queue's
-// front) has waited cfg.max_wait, whichever comes first. The workers that
-// are idle when it closes share it: the claiming worker executes the first
-// ceil(window / idle) requests as one solve_many call, and the rest of the
-// closed window is due at once for the next idle worker, which shares it
-// the same way. With one worker, or with every other worker busy, the
-// claiming worker runs the whole window. Block FPCG does not get cheaper
-// per column as a window widens on the served operator, so an idle worker
-// is the cheapest capacity left. Futures complete individually, each with
-// its own SolveResult and solution.
+// Dynamic batching: each operator owns a FIFO admission queue, and no timer
+// closes a window. A worker that is free (and the service not paused) takes
+// the queue whose front request is oldest and claims its front
+// ceil(min(queue, 16) / num_workers) requests at once, running them as one
+// solve_many call. A window is therefore just what queued while the workers
+// were busy: a request that finds a worker idle runs at once, alone, and a
+// backlog is shared out so that each worker that frees takes its part and
+// leaves the rest for its peers. Sharing by num_workers, not by the number
+// of idle workers, keeps a worker that frees while its peers run from
+// taking the whole queue. Block FPCG does not get cheaper per column as a
+// window widens on the served operator, so a narrower window on another
+// worker is the cheapest capacity left. Futures complete individually, each
+// with its own SolveResult and solution.
 //
 // Backpressure: queues are bounded (cfg.queue_capacity per operator); at
 // capacity, submit() blocks until a worker frees space. Shutdown drains:
@@ -69,13 +70,9 @@ struct ServiceConfig {
   /// Worker threads executing windows. Workers are the solve parallelism
   /// axis (a window runs on one worker); independent windows — same or
   /// different operators — run concurrently, which prepared sessions
-  /// support by contract. A closed window is split among the workers idle
-  /// when it closes, so none of them idles while requests wait.
+  /// support by contract. Each claim takes a 1/num_workers share of its
+  /// queue's front and leaves the rest to the other workers.
   int num_workers = 2;
-  /// A window closes when it holds this many right-hand sides...
-  int max_batch = 16;
-  /// ...or when its oldest request has waited this long.
-  std::chrono::microseconds max_wait{2000};
   /// Bound on queued (admitted, not yet executing) requests per operator;
   /// submit() waits for space beyond it.
   std::size_t queue_capacity = 256;
@@ -152,16 +149,13 @@ class SolveService {
   /// workers. Idempotent; called by the destructor.
   void shutdown();
 
-  /// Suspend window formation: admitted requests queue up but no window
-  /// closes until resume(). Lets tests (and maintenance windows) compose
+  /// Suspend window formation: admitted requests queue up but no worker
+  /// claims any until resume(). Lets tests (and maintenance windows) compose
   /// batches deterministically; pausing never rejects admission.
   void pause();
   void resume();
 
   Stats stats() const;
-  /// Queued-but-not-yet-executing requests across all operators.
-  std::size_t queue_depth() const;
-  const ServiceConfig& config() const { return cfg_; }
 
  private:
   struct Request {
@@ -174,10 +168,6 @@ class SolveService {
   struct OperatorState {
     std::shared_ptr<SolverSession> session;
     std::deque<Request> queue;
-    /// The front requests of a window that closed and still wait for a
-    /// worker: while nonzero the queue is due, and the next claim shares
-    /// out these requests instead of closing a fresh window.
-    std::size_t closed = 0;
   };
 
   OperatorKey key_for_session(std::shared_ptr<SolverSession> session);
@@ -185,25 +175,21 @@ class SolveService {
   /// stats(), the registry and the trace.
   std::nullopt_t reject();
   void worker_loop();
-  /// Pops the claiming worker's share of the due window whose oldest
-  /// request waited longest, under mu_; nullopt when nothing is due yet
-  /// (next_close = when to re-check).
-  std::optional<std::pair<std::size_t, std::vector<Request>>> claim_window(
-      std::chrono::steady_clock::time_point now,
-      std::optional<std::chrono::steady_clock::time_point>& next_close);
+  /// Pops the claiming worker's share of the queue whose front request is
+  /// oldest, under mu_; nullopt when every queue is empty.
+  std::optional<std::pair<std::size_t, std::vector<Request>>> claim_window();
   void execute_window(OperatorState& op, std::vector<Request> batch);
 
   SessionCache& cache_;
   const ServiceConfig cfg_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_cv_;   // workers: new work / shutdown
   std::condition_variable space_cv_;  // waiting submitters: space freed
   std::vector<std::unique_ptr<OperatorState>> operators_;
   bool stopping_ = false;
   bool paused_ = false;
   std::size_t queued_ = 0;  // across all operators
-  int busy_ = 0;            // workers executing a window
 
   std::vector<std::thread> workers_;
 

@@ -71,8 +71,8 @@ struct HybridConfig {
   /// subdomains the model cannot contract. This is the served-configuration
   /// convergence fix — off by default so existing configs are bit-for-bit
   /// unchanged; gnn_refinement_steps acts as the per-subdomain floor. The
-  /// contraction target, refinement cap and cost-aware fallback keep their
-  /// GnnSubdomainSolver::Options defaults.
+  /// contraction target, refinement cap and cost-aware fallback are fixed
+  /// (GnnSubdomainSolver::Options::adaptive_refinement).
   bool gnn_adaptive_refinement = false;
   /// Run preconditioner applications through fp32 (round the residual in,
   /// the correction out; Cholesky fallbacks sweep an fp32 factor copy). The

@@ -276,43 +276,4 @@ void Registry::reset() {
   }
 }
 
-std::string dominant_phase(double* seconds_out) {
-  // Leaf apply phases: the DSS phases live inside asm.subdomain_solve, so
-  // when any of them fired, the parent drops out of the comparison.
-  static const char* const kDssPhases[] = {
-      "dss.projection_seconds", "dss.gather_seconds", "dss.aggregate_seconds",
-      "dss.update_seconds", "dss.decode_seconds"};
-  static const char* const kAsmPhases[] = {
-      "asm.restrict_seconds", "asm.subdomain_solve_seconds",
-      "asm.coarse_seconds", "asm.prolong_seconds"};
-
-  Registry& reg = Registry::instance();
-  double dss_total = 0.0;
-  for (const char* name : kDssPhases) {
-    if (const Gauge* g = reg.find_gauge(name)) dss_total += g->value();
-  }
-
-  std::string best;
-  double best_v = 0.0;
-  auto consider = [&](const char* name) {
-    const Gauge* g = reg.find_gauge(name);
-    if (g && g->value() > best_v) {
-      best_v = g->value();
-      best = name;
-    }
-  };
-  for (const char* name : kAsmPhases) {
-    if (dss_total > 0.0 &&
-        std::string_view(name) == "asm.subdomain_solve_seconds") {
-      continue;
-    }
-    consider(name);
-  }
-  if (dss_total > 0.0) {
-    for (const char* name : kDssPhases) consider(name);
-  }
-  if (seconds_out) *seconds_out = best_v;
-  return best;
-}
-
 }  // namespace ddmgnn::obs

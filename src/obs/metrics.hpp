@@ -12,8 +12,7 @@
 // deterministic JSON document (what solve_poisson --metrics writes).
 //
 // Canonical metric names are documented in the README "Observability"
-// section; dominant_phase() below knows the apply-phase subset ("asm.*" /
-// "dss.*" *_seconds gauges) used to summarize where preconditioner time went.
+// section.
 #pragma once
 
 #include <atomic>
@@ -130,13 +129,5 @@ class Registry {
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Entry>> entries_;
 };
-
-/// Name of the largest apply-phase gauge ("asm.*" / "dss.*" *_seconds): the
-/// one-word answer to "where did preconditioner time go". When the DSS phase
-/// gauges are populated they replace their parent asm.subdomain_solve_seconds
-/// in the comparison (a child can never out-rank the span that contains it).
-/// Empty string when no phase gauge has fired. `seconds_out` (optional)
-/// receives the winner's value.
-std::string dominant_phase(double* seconds_out = nullptr);
 
 }  // namespace ddmgnn::obs

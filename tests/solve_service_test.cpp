@@ -1,10 +1,11 @@
 // SolveService behavior: batched windows return bitwise what the direct
-// session paths return for the same window composition, idle workers share
-// a due window and its rest runs at once, a full queue makes
-// submit wait for space and a submit refused at shutdown counts as a
-// rejection, shutdown drains every admitted future, a session solve started
-// from a converged solution finishes at once, and a multi-producer stress
-// run (the TSan CI target) completes every request exactly once.
+// session paths return for the same window composition, each claim takes a
+// 1/num_workers share of the queue (whether or not the other workers are
+// busy), a full queue makes submit wait for space and a submit refused at
+// shutdown counts as a rejection, shutdown drains every admitted future, a
+// session solve started from a converged solution finishes at once, and a
+// multi-producer stress run (the TSan CI target) completes every request
+// exactly once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -60,18 +61,14 @@ std::vector<double> random_rhs(std::size_t n, std::uint64_t seed) {
 
 /// A paused service admits without executing, so tests compose windows
 /// deterministically: submit exactly the batch, then resume.
-core::ServiceConfig paused_friendly(int max_batch,
-                                    std::chrono::microseconds max_wait) {
+core::ServiceConfig paused_friendly() {
   core::ServiceConfig cfg;
   cfg.num_workers = 2;
-  cfg.max_batch = max_batch;
-  cfg.max_wait = max_wait;
   return cfg;
 }
 
-// One worker runs each due window whole, so the paused queue of s merges
-// into one window (two idle workers would share it; see
-// IdleWorkersShareADueWindow).
+// One worker claims the whole paused queue of s as one window (two workers
+// would share it; see WorkersShareAWindow).
 TEST(SolveServiceWindow, BatchedWindowBitwiseEqualsDirectSolveMany) {
   const la::CsrMatrix A = grid_laplacian(24, 0.0);
   const core::HybridConfig cfg = lu_config();
@@ -79,7 +76,7 @@ TEST(SolveServiceWindow, BatchedWindowBitwiseEqualsDirectSolveMany) {
   auto direct = cache.get_or_setup(A, cfg);
 
   for (const int s : {2, 3, 5}) {
-    core::ServiceConfig scfg = paused_friendly(/*max_batch=*/8, 50ms);
+    core::ServiceConfig scfg = paused_friendly();
     scfg.num_workers = 1;
     core::SolveService svc(cache, scfg);
     const auto op = svc.register_operator(A, cfg);
@@ -115,25 +112,24 @@ TEST(SolveServiceWindow, BatchedWindowBitwiseEqualsDirectSolveMany) {
   }
 }
 
-// Two idle workers share a due window of six: the claiming worker takes the
-// front ceil(6 / 2) = 3, and the rest is due at once for its peer instead of
-// waiting out max_wait (1 h here). Forced block FPCG makes each window's
-// composition show in its bits, so every reply must equal a direct
-// solve_many over exactly the FIFO segment its batch_columns names.
-TEST(SolveServiceWindow, IdleWorkersShareADueWindow) {
+// Each claim takes ceil(queue / num_workers) of the queue's front, so two
+// workers run a paused queue of six as FIFO windows of 3, 2 and 1 whichever
+// worker claims each. Forced block FPCG makes each window's composition show
+// in its bits, so every reply must equal a direct solve_many over exactly
+// its segment.
+TEST(SolveServiceWindow, WorkersShareAWindow) {
   const la::CsrMatrix A = grid_laplacian(24, 0.0);
   core::HybridConfig cfg = lu_config();
   cfg.method = solver::KrylovMethod::kFpcg;
   core::SessionCache cache(1u << 30);
   auto direct = cache.get_or_setup(A, cfg);
 
-  constexpr int kRequests = 6;
-  core::SolveService svc(cache, paused_friendly(/*max_batch=*/kRequests, 1h));
+  core::SolveService svc(cache, paused_friendly());
   const auto op = svc.register_operator(A, cfg);
   svc.pause();
   std::vector<std::vector<double>> bs;
   std::vector<std::future<core::SolveService::Reply>> futs;
-  for (int i = 0; i < kRequests; ++i) {
+  for (int i = 0; i < 6; ++i) {
     bs.push_back(random_rhs(static_cast<std::size_t>(A.rows()),
                             300 + 11 * static_cast<std::uint64_t>(i)));
     auto fut = svc.submit(op, bs.back());
@@ -143,18 +139,9 @@ TEST(SolveServiceWindow, IdleWorkersShareADueWindow) {
   svc.resume();
 
   std::vector<core::SolveService::Reply> replies;
-  for (auto& f : futs) {
-    ASSERT_EQ(f.wait_for(60s), std::future_status::ready)
-        << "the rest of a closed window waited for max_wait";
-    replies.push_back(f.get());
-  }
-  EXPECT_EQ(replies.front().batch_columns, 3);
-
-  // Windows are claimed from the queue's front, so they are FIFO segments.
-  for (std::size_t begin = 0; begin < replies.size();) {
-    const auto width = static_cast<std::size_t>(replies[begin].batch_columns);
-    ASSERT_GE(width, 1u);
-    ASSERT_LE(begin + width, replies.size());
+  for (auto& f : futs) replies.push_back(f.get());
+  std::size_t begin = 0;
+  for (const std::size_t width : {3u, 2u, 1u}) {
     const std::vector<std::vector<double>> segment(
         bs.begin() + static_cast<std::ptrdiff_t>(begin),
         bs.begin() + static_cast<std::ptrdiff_t>(begin + width));
@@ -162,7 +149,8 @@ TEST(SolveServiceWindow, IdleWorkersShareADueWindow) {
     const auto res_direct = direct->solve_many(segment, xs_direct);
     for (std::size_t c = 0; c < width; ++c) {
       const auto& reply = replies[begin + c];
-      EXPECT_EQ(reply.batch_columns, static_cast<int>(width));
+      ASSERT_EQ(reply.batch_columns, static_cast<int>(width))
+          << "request=" << begin + c;
       EXPECT_TRUE(reply.result.converged);
       EXPECT_EQ(reply.result.iterations, res_direct[c].iterations);
       ASSERT_EQ(reply.x.size(), xs_direct[c].size());
@@ -173,6 +161,50 @@ TEST(SolveServiceWindow, IdleWorkersShareADueWindow) {
     }
     begin += width;
   }
+  const auto st = svc.stats();
+  EXPECT_EQ(st.windows, 3u);
+  EXPECT_EQ(st.max_window, 3u);
+}
+
+// A claim shares the queue by num_workers, not by the workers idle at the
+// time: while one worker runs a long unpreconditioned CG solve, the other
+// takes ceil(6 / 2) = 3 of six queued requests and leaves the rest queued.
+TEST(SolveServiceWindow, BusyPeerLeavesTheRestQueued) {
+  const la::CsrMatrix big = grid_laplacian(250, 0.0);
+  core::HybridConfig slow;
+  slow.preconditioner = "none";
+  slow.rel_tol = 1e-10;
+  slow.max_iterations = 20000;
+  slow.track_history = false;
+  const la::CsrMatrix A = grid_laplacian(16, 0.0);
+  const core::HybridConfig cfg = lu_config();
+  core::SessionCache cache(1u << 30);
+  core::SolveService svc(cache, paused_friendly());
+  const auto op_big = svc.register_operator(big, slow);
+  const auto op = svc.register_operator(A, cfg);
+
+  auto long_solve =
+      svc.submit(op_big, random_rhs(static_cast<std::size_t>(big.rows()), 9));
+  ASSERT_TRUE(long_solve.has_value());
+  // A window counts as soon as its worker starts it.
+  while (svc.stats().windows < 1) std::this_thread::sleep_for(1ms);
+  svc.pause();
+  std::vector<std::future<core::SolveService::Reply>> futs;
+  for (int i = 0; i < 6; ++i) {
+    auto fut = svc.submit(op, random_rhs(static_cast<std::size_t>(A.rows()),
+                                         static_cast<std::uint64_t>(i)));
+    ASSERT_TRUE(fut.has_value());
+    futs.push_back(std::move(*fut));
+  }
+  svc.resume();
+
+  const auto first = futs.front().get();
+  EXPECT_EQ(first.batch_columns, 3);
+  EXPECT_TRUE(first.result.converged);
+  for (std::size_t i = 1; i < futs.size(); ++i) {
+    EXPECT_TRUE(futs[i].get().result.converged) << "request=" << i;
+  }
+  EXPECT_EQ(long_solve->get().batch_columns, 1);
 }
 
 TEST(SolveServiceWindow, SingletonWindowBitwiseEqualsDirectSolve) {
@@ -181,7 +213,7 @@ TEST(SolveServiceWindow, SingletonWindowBitwiseEqualsDirectSolve) {
   core::SessionCache cache(1u << 30);
   auto direct = cache.get_or_setup(A, cfg);
 
-  core::SolveService svc(cache, paused_friendly(/*max_batch=*/1, 1ms));
+  core::SolveService svc(cache, paused_friendly());
   const auto op = svc.register_operator(A, cfg);
   const auto b = random_rhs(static_cast<std::size_t>(A.rows()), 42);
   auto fut = svc.submit(op, b);
@@ -207,7 +239,7 @@ TEST(SolveServiceWindow, LockstepBatchBitwiseEqualsScalarSolves) {
   core::SessionCache cache(1u << 30);
   auto direct = cache.get_or_setup(A, cfg);
 
-  core::SolveService svc(cache, paused_friendly(/*max_batch=*/4, 50ms));
+  core::SolveService svc(cache, paused_friendly());
   const auto op = svc.register_operator(A, cfg);
   svc.pause();
   std::vector<std::vector<double>> bs;
@@ -236,7 +268,7 @@ TEST(SolveServiceBackpressure, FullQueueSubmitWaitsForSpace) {
   const la::CsrMatrix A = grid_laplacian(16, 0.0);
   const core::HybridConfig cfg = lu_config();
   core::SessionCache cache(1u << 30);
-  core::ServiceConfig scfg = paused_friendly(/*max_batch=*/2, 50ms);
+  core::ServiceConfig scfg = paused_friendly();
   scfg.queue_capacity = 2;
   core::SolveService svc(cache, scfg);
   const auto op = svc.register_operator(A, cfg);
@@ -275,7 +307,7 @@ TEST(SolveServiceBackpressure, BlockedSubmitAtShutdownCountsAsRejection) {
   const la::CsrMatrix A = grid_laplacian(16, 0.0);
   const core::HybridConfig cfg = lu_config();
   core::SessionCache cache(1u << 30);
-  core::ServiceConfig scfg = paused_friendly(/*max_batch=*/2, 50ms);
+  core::ServiceConfig scfg = paused_friendly();
   scfg.queue_capacity = 2;
   core::SolveService svc(cache, scfg);
   const auto op = svc.register_operator(A, cfg);
@@ -324,7 +356,7 @@ TEST(SolveServiceShutdown, DrainCompletesEveryAdmittedFuture) {
   core::SessionCache cache(1u << 30);
   std::vector<std::future<core::SolveService::Reply>> futs;
   {
-    core::SolveService svc(cache, paused_friendly(/*max_batch=*/8, 1h));
+    core::SolveService svc(cache, paused_friendly());
     const auto opA = svc.register_operator(A, cfg);
     const auto opB = svc.register_operator(B, cfg);
     svc.pause();
@@ -337,8 +369,8 @@ TEST(SolveServiceShutdown, DrainCompletesEveryAdmittedFuture) {
       ASSERT_TRUE(fut.has_value());
       futs.push_back(std::move(*fut));
     }
-    // Destruction drains: paused, with a 1-hour window wait, every window
-    // would otherwise still be open.
+    // Destruction drains: paused, no worker would otherwise claim any of
+    // them.
   }
   for (auto& f : futs) {
     ASSERT_EQ(f.wait_for(0s), std::future_status::ready)
@@ -372,7 +404,7 @@ TEST(SolveServiceContract, BadSubmitsThrowAndShutdownRefuses) {
   const core::HybridConfig cfg = lu_config();
   core::SessionCache cache(1u << 30);
   auto svc = std::make_unique<core::SolveService>(
-      cache, paused_friendly(/*max_batch=*/2, 1ms));
+      cache, paused_friendly());
   const auto op = svc->register_operator(A, cfg);
   EXPECT_THROW(svc->submit(op, std::vector<double>(3, 0.0)), ContractError);
   EXPECT_THROW(svc->submit(op + 1, std::vector<double>(
@@ -396,8 +428,6 @@ TEST(SolveServiceStress, ManyProducersCompleteEveryRequest) {
   core::SessionCache cache(1u << 30);
   core::ServiceConfig scfg;
   scfg.num_workers = 2;
-  scfg.max_batch = 4;
-  scfg.max_wait = std::chrono::microseconds(300);
   scfg.queue_capacity = 2;
   core::SolveService svc(cache, scfg);
   const auto opA = svc.register_operator(A, cfg);

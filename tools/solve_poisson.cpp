@@ -243,9 +243,8 @@ int main(int argc, char** argv) {
   const bool verbose_timing = has_flag(argc, argv, "--verbose-timing");
   if (trace_path != nullptr) obs::set_trace_enabled(true);
   // The phase summary and the snapshot both read registry gauges, so either
-  // consumer (as well as --trace, whose snapshot names the dominant phase)
-  // turns metrics collection on. Flags are set before setup so the
-  // setup.* phases are captured too.
+  // consumer turns metrics collection on, and so does --trace. Flags are set
+  // before setup so the setup.* phases are captured too.
   if (metrics_path != nullptr || trace_path != nullptr || verbose_timing) {
     obs::set_metrics_enabled(true);
   }
